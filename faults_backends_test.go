@@ -11,11 +11,11 @@ import (
 	"github.com/memadapt/masort/internal/faultinject"
 )
 
-// The PR 8 fault discipline, re-run against the PR 9 backends: the
-// fault-schedule table and the randomized soak must hold for StripedStore
-// (per-device fault targeting included) and TieredStore (faults landing
-// mid-demotion included) exactly as they do for FileStore — correct output
-// or a documented sentinel chain, and nothing leaked either way.
+// The FileStore fault discipline (faults_test.go), re-run against the other
+// disk-backed stores: the fault-schedule table and the randomized soak must
+// hold for StripedStore (per-device fault targeting included) and MmapStore
+// exactly as they do for FileStore — correct output or a documented
+// sentinel chain, and nothing leaked either way.
 
 // backendCase builds one faulty store for the schedule/soak harnesses. The
 // returned leak func reports still-live runs after the sort is closed.
@@ -38,36 +38,24 @@ func faultBackends() []backendCase {
 			},
 		},
 		{
-			name: "tiered",
+			name: "mmap",
 			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) (RunStore, func() int, func() error) {
-				backing, err := NewStoreConfig().WithFaults(h).WithRetry(policy).File(t.TempDir())
+				s, err := NewStoreConfig().WithFaults(h).WithRetry(policy).Mmap(t.TempDir())
+				if errors.Is(err, ErrMmapUnsupported) {
+					t.Skip("mmap not supported on this platform")
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				// A 4-page tier against a 64-page input: most runs demote, so
-				// the injected faults land mid-demotion and on promote reads.
-				s, err := NewTieredStore(4, backing)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live := func() int { return s.Live() + backing.Live() }
-				closeAll := func() error {
-					err := s.Close()
-					if berr := backing.Close(); err == nil {
-						err = berr
-					}
-					return err
-				}
-				return s, live, closeAll
+				return s, s.Live, s.Close
 			},
 		},
 	}
 }
 
 // TestSortFaultSchedulesNewBackends runs the scripted fault-schedule table
-// through pooled sorts over StripedStore and TieredStore. Retry-count
-// assertions are striped-only: a tiered store consumes its backing tokens
-// inside the demotion path, so backing retries are invisible to Stats.
+// through pooled sorts over StripedStore and MmapStore. Every healed
+// schedule must show up in Stats.StoreRetries, whichever backend retried.
 func TestSortFaultSchedulesNewBackends(t *testing.T) {
 	recs := faultSortInput(4096)
 	policy := RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}
@@ -75,7 +63,7 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 		name        string
 		rules       []faultinject.Rule
 		wantErr     []error
-		wantRetries bool // asserted for striped only
+		wantRetries bool
 	}{
 		{
 			name: "transient-read",
@@ -152,7 +140,7 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 					if n != len(recs) {
 						t.Fatalf("drained %d records, want %d", n, len(recs))
 					}
-					if backend.name == "striped" && tc.wantRetries && res.Stats.StoreRetries == 0 {
+					if tc.wantRetries && res.Stats.StoreRetries == 0 {
 						t.Error("Stats.StoreRetries = 0, want > 0")
 					}
 					if err := res.Close(); err != nil {
@@ -174,10 +162,10 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 	}
 }
 
-// TestSortFaultSoakNewBackends is the randomized seeded soak over the new
-// backends: any mix of transient, permanent and corrupting faults must end
-// in correct output or a documented sentinel — never wrong data, never a
-// leak. Run under -race; seeds are fixed so failures reproduce.
+// TestSortFaultSoakNewBackends is the randomized seeded soak over the
+// striped and mmap backends: any mix of transient, permanent and
+// corrupting faults must end in correct output or a documented sentinel —
+// never wrong data, never a leak. Run under -race; seeds are fixed so failures reproduce.
 func TestSortFaultSoakNewBackends(t *testing.T) {
 	seeds := 10
 	if testing.Short() {

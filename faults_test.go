@@ -128,7 +128,7 @@ func TestSortFaultSchedules(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			inj := faultinject.New(tc.rules...)
-			store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj), WithStoreRetry(policy))
+			store, err := NewStoreConfig().WithFaults(inj).WithRetry(policy).File(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,8 +209,9 @@ func TestSortFaultSoak(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		inj := faultinject.NewSeeded(seed, prof)
-		store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj),
-			WithStoreRetry(RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond}))
+		store, err := NewStoreConfig().WithFaults(inj).
+			WithRetry(RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond}).
+			File(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +271,7 @@ func TestConcurrentReadersDuringWriteFailure(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		inj := faultinject.New(faultinject.Rule{Op: faultinject.Write, Nth: 2,
 			Fault: faultinject.Fault{Err: faultinject.Permanent("dead batch"), Short: 9}})
-		store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj))
+		store, err := NewStoreConfig().WithFaults(inj).File(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,8 +380,8 @@ func TestFileStoreTransientReadHeals(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := faultinject.New(faultinject.Rule{Op: faultinject.Read, Nth: 1, Count: 1, Fault: tc.fault})
-			store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj),
-				WithStoreRetry(RetryPolicy{MaxAttempts: 2}))
+			store, err := NewStoreConfig().WithFaults(inj).
+				WithRetry(RetryPolicy{MaxAttempts: 2}).File(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,7 +412,7 @@ func TestFileStoreTransientReadHeals(t *testing.T) {
 func TestStoreErrorSentinelChains(t *testing.T) {
 	inj := faultinject.New(faultinject.Rule{Op: faultinject.Write, Nth: 1,
 		Fault: faultinject.Fault{Err: syscall.ENOSPC}})
-	store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj))
+	store, err := NewStoreConfig().WithFaults(inj).File(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +453,7 @@ func TestWriterErrorPropagatesToInFlightWaits(t *testing.T) {
 		once.Do(func() { err = faultinject.Permanent("first batch dies") })
 		return -1, err
 	}}
-	store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj))
+	store, err := NewStoreConfig().WithFaults(inj).File(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +480,7 @@ func TestWriterErrorPropagatesToInFlightWaits(t *testing.T) {
 // TestLegacyFramingStillDecodes pins the version gate: a store built with
 // checksums off writes and reads the pre-checksum frame.
 func TestLegacyFramingStillDecodes(t *testing.T) {
-	store, err := NewFileStore(t.TempDir(), WithPageChecksums(false))
+	store, err := NewStoreConfig().WithPageChecksums(false).File(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

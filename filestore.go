@@ -16,9 +16,10 @@ import (
 )
 
 // DefaultReadConcurrency is how many page reads a FileStore executes in
-// parallel unless WithReadConcurrency says otherwise. External-memory merges
-// read one page from each of up to fan-in runs at a time; a handful of
-// outstanding positional reads keeps the device busy without thrashing it.
+// parallel unless StoreConfig.WithReadConcurrency says otherwise.
+// External-memory merges read one page from each of up to fan-in runs at a
+// time; a handful of outstanding positional reads keeps the device busy
+// without thrashing it.
 const DefaultReadConcurrency = 8
 
 // writeQueueDepth bounds how many encoded write batches may be queued per
@@ -47,13 +48,13 @@ const writeQueueDepth = 4
 // holds even under concurrent use across runs.
 //
 // The store does not assume a perfect disk. Pages are framed with a
-// CRC32-Castagnoli checksum by default (WithPageChecksums), a corrupt page
-// is re-read once before the read fails with ErrCorruptPage in the chain,
-// and WithStoreRetry turns transient I/O errors into bounded retries with
-// backoff. Errors that survive retry — or are classified permanent up
-// front, like ENOSPC — wrap ErrStoreFailed; a write that fails terminally
-// breaks the whole run (rollback to the durable prefix, every subsequent
-// Append, Wait and read on it reports the failure).
+// CRC32-Castagnoli checksum by default (StoreConfig.WithPageChecksums), a
+// corrupt page is re-read once before the read fails with ErrCorruptPage in
+// the chain, and StoreConfig.WithRetry turns transient I/O errors into
+// bounded retries with backoff. Errors that survive retry — or are
+// classified permanent up front, like ENOSPC — wrap ErrStoreFailed; a write
+// that fails terminally breaks the whole run (rollback to the durable
+// prefix, every subsequent Append, Wait and read on it reports the failure).
 type FileStore struct {
 	dir string
 	own bool // remove dir on Close
@@ -77,7 +78,7 @@ type FileStore struct {
 	// tr, when set, receives a queue-depth sample (KindStoreQueue) on every
 	// enqueue/dequeue of the async write pipeline, summed across runs, plus
 	// KindStoreRetry / KindStoreGaveUp events from the retry layer. Set at
-	// construction (WithStoreTracer) so the writer goroutines see it
+	// construction (StoreConfig.WithTracer) so the writer goroutines see it
 	// safely; qdepth is the running depth.
 	tr     trace.Tracer
 	qdepth atomic.Int64
@@ -250,10 +251,10 @@ func (t *fsPageToken) Retries() int { return t.retries }
 
 // NewFileStore creates a run store in dir; dir is created if missing. If
 // dir is empty, a fresh temporary directory is used and removed on Close.
-// It is a shim over the StoreConfig builder: the options fold into a
-// default config and NewFileStore delegates to StoreConfig.File.
-func NewFileStore(dir string, opts ...FileStoreOption) (*FileStore, error) {
-	return applyStoreOptions(opts).File(dir)
+// It is NewStoreConfig().File(dir); configure checksums, retries, faults or
+// tracing through the StoreConfig builder.
+func NewFileStore(dir string) (*FileStore, error) {
+	return NewStoreConfig().File(dir)
 }
 
 // newFileStore builds a FileStore from a StoreConfig; device is the store's

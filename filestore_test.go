@@ -179,14 +179,14 @@ func TestRunIteratorPropagatesStoreError(t *testing.T) {
 func TestFileStoreAppendRollbackOnWriteFailure(t *testing.T) {
 	var fail atomic.Bool
 	errDiskFull := errors.New("injected: disk full")
-	store, err := NewFileStore(t.TempDir(), WithStoreFaults(hookFuncs{
+	store, err := NewStoreConfig().WithFaults(hookFuncs{
 		beforeWrite: func(off int64, b []byte) (int, error) {
 			if fail.Load() {
 				return -1, errDiskFull
 			}
 			return -1, nil
 		},
-	}))
+	}).File(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestFileStoreReadWaitsForBackgroundWrite(t *testing.T) {
 // Calls for any single run stay on one goroutine (the RunStore contract);
 // the store itself must tolerate everything else happening at once.
 func TestFileStoreConcurrentAccess(t *testing.T) {
-	store, err := NewFileStore(t.TempDir(), WithReadConcurrency(4))
+	store, err := NewStoreConfig().WithReadConcurrency(4).File(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,12 +48,10 @@ const (
 	Suspension
 )
 
-// Options configures Sort, Join, GroupBy and Merge as a plain struct. The
-// zero value gives the paper's recommended algorithm (repl6,opt,split) with
-// an in-memory store and a fixed 64-page budget.
-//
-// Deprecated: prefer the functional options (WithBudget, WithMethod, ...);
-// pass an existing struct through WithOptions.
+// Options is the configuration the functional options (WithBudget,
+// WithMethod, ...) fold into for Sort, Join, GroupBy and Merge. The zero
+// value gives the paper's recommended algorithm (repl6,opt,split) with an
+// in-memory store and a fixed 64-page budget.
 type Options struct {
 	Method     Method
 	BlockPages int // replacement-selection write block; default 6

@@ -25,9 +25,17 @@ func NewMemStore() *MemStore {
 	return &MemStore{runs: map[RunID][]Page{}, freed: map[RunID]bool{}}
 }
 
-type readyToken struct{ err error }
+// readyToken is an already-completed write token. retries counts the
+// failed write attempts a synchronous store retried before it settled.
+type readyToken struct {
+	err     error
+	retries int
+}
 
 func (t readyToken) Wait() error { return t.err }
+
+// Retries reports how many failed write attempts were retried.
+func (t readyToken) Retries() int { return t.retries }
 
 type readyPage struct {
 	pg  Page

@@ -80,8 +80,7 @@ func WriteRun(store RunStore, it Iterator, pageRecords int) (RunID, int, error) 
 // 0 (Pages is exact; WriteRun reports the tuple count at write time).
 //
 // The store argument is authoritative — the ids name runs inside it — so a
-// WithStore option (or the Store field of a struct passed via WithOptions)
-// is ignored here.
+// WithStore option is ignored here.
 func Merge(ctx context.Context, store RunStore, ids []RunID, opts ...Option) (*Result, error) {
 	opt := applyOptions(opts)
 	opt.Store = store

@@ -186,32 +186,33 @@ func (s *MmapStore) Append(id RunID, pages []Page) (Token, error) {
 		}
 	}
 	end := start + int64(len(buf))
-	err := s.writeBatch(r, start, buf)
+	retries, err := s.writeBatch(r, start, buf)
 	s.putBuf(buf)
 	if err != nil {
 		r.werr = err
 		_ = r.f.Truncate(start)
-		return readyToken{err: err}, nil
+		return readyToken{err: err, retries: retries}, nil
 	}
 	r.offsets = append(r.offsets, offs...)
 	r.end = end
-	return readyToken{}, nil
+	return readyToken{retries: retries}, nil
 }
 
 // writeBatch lands one encoded batch at off, retrying transient failures
 // per the store's policy (same taxonomy as FileStore: permanent errors
-// fail fast, a positional retry overwrites any torn earlier attempt). The
-// returned error, if any, is terminal and wraps ErrStoreFailed.
-func (s *MmapStore) writeBatch(r *mmapRun, off int64, buf []byte) error {
+// fail fast, a positional retry overwrites any torn earlier attempt). It
+// returns how many failed attempts were retried; the error, if any, is
+// terminal and wraps ErrStoreFailed.
+func (s *MmapStore) writeBatch(r *mmapRun, off int64, buf []byte) (retries int, err error) {
 	budget := s.retry.attempts()
 	for attempt := 1; ; attempt++ {
 		err := s.writeOnce(r, off, buf)
 		if err == nil {
-			return nil
+			return attempt - 1, nil
 		}
 		if classifyIOErr(err) == classPermanent || attempt >= budget {
 			s.noteFault(trace.KindStoreGaveUp, "write", attempt, int64(len(buf)), err)
-			return fmt.Errorf("%w: write of %d bytes at %d (attempt %d/%d): %w",
+			return attempt - 1, fmt.Errorf("%w: write of %d bytes at %d (attempt %d/%d): %w",
 				ErrStoreFailed, len(buf), off, attempt, budget, err)
 		}
 		s.noteFault(trace.KindStoreRetry, "write", attempt, int64(len(buf)), err)

@@ -195,8 +195,8 @@ func (s *tracedStore) fill(st *Stats) {
 }
 
 // retrier is implemented by store tokens that report how many failed
-// attempts were retried before the operation settled (see FileStore's
-// WithStoreRetry); tokens without the method count as zero retries.
+// attempts were retried before the operation settled (see
+// StoreConfig.WithRetry); tokens without the method count as zero retries.
 type retrier interface{ Retries() int }
 
 // noteRetries folds a completed token's retry count into the store

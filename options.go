@@ -132,13 +132,6 @@ func WithEventLog(n int) Option {
 	return func(o *Options) { o.EventLog = n }
 }
 
-// WithOptions replaces the whole configuration with a legacy Options
-// struct. It is the bridge from the v1 struct surface: options applied
-// before it are discarded, options after it override its fields.
-func WithOptions(opt Options) Option {
-	return func(o *Options) { *o = opt }
-}
-
 // applyOptions folds a chain of Options into the configuration struct.
 func applyOptions(opts []Option) Options {
 	var o Options

@@ -46,12 +46,6 @@ type Result struct {
 	freed bool
 }
 
-// JoinResult is the former join-specific result type; Join now returns the
-// unified *Result.
-//
-// Deprecated: use Result.
-type JoinResult = Result
-
 // Iterator streams the output records in sorted order, keeping one page of
 // read-ahead in flight against the store. A closed result yields ErrFreed.
 //
@@ -126,8 +120,3 @@ func (r *Result) Close() error {
 	}
 	return first
 }
-
-// Free releases the result run's storage.
-//
-// Deprecated: use Close.
-func (r *Result) Free() error { return r.Close() }

@@ -96,38 +96,3 @@ func TestMmapStoreConformance(t *testing.T) {
 		},
 	})
 }
-
-func TestTieredStoreConformance(t *testing.T) {
-	// The base suite uses a small tier (2 pages) so round trips exercise
-	// both the resident path and demotion + promotion; the fault variant
-	// uses a zero-page tier so every write and read crosses the faulty
-	// backing store — a tier-resident page can never observe an I/O fault.
-	storetest.Run(t, storetest.Config{
-		New: func(tb testing.TB) masort.RunStore {
-			backing, err := masort.NewFileStore(tb.TempDir())
-			if err != nil {
-				tb.Fatal(err)
-			}
-			tb.Cleanup(func() { _ = backing.Close() })
-			s, err := masort.NewTieredStore(2, backing)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			tb.Cleanup(func() { _ = s.Close() })
-			return s
-		},
-		NewFaulty: func(tb testing.TB, h masort.FaultHooks) masort.RunStore {
-			backing, err := faultyCfg(h).File(tb.TempDir())
-			if err != nil {
-				tb.Fatal(err)
-			}
-			tb.Cleanup(func() { _ = backing.Close() })
-			s, err := masort.NewStoreConfig().Tiered(0, backing)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			tb.Cleanup(func() { _ = s.Close() })
-			return s
-		},
-	})
-}

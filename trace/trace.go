@@ -73,12 +73,6 @@ const (
 	// classified permanent.
 	KindStoreRetry
 	KindStoreGaveUp
-	// Tiered-store page movement: KindStoreDemote is one run spilled from
-	// the memory tier to the backing store (Pages = pages spilled);
-	// KindStorePromote is one page promoted back on a hot read (Pages =
-	// tier-resident pages after the promotion).
-	KindStoreDemote
-	KindStorePromote
 )
 
 // String returns the kind's stable snake-case name (used as the event label
@@ -129,10 +123,6 @@ func (k Kind) String() string {
 		return "store_retry"
 	case KindStoreGaveUp:
 		return "store_gave_up"
-	case KindStoreDemote:
-		return "store_demote"
-	case KindStorePromote:
-		return "store_promote"
 	}
 	return "unknown"
 }
