@@ -14,9 +14,11 @@ const (
 	// writes the result as one run. Runs are as long as memory; memory can
 	// only be released at run boundaries (paper footnote 1).
 	Quick Method = iota
-	// Repl is replacement selection: an in-memory heap emits runs that
-	// average twice the memory size; pages are written BlockPages at a time
-	// (BlockPages=1 is the paper's repl1, 6 its repl6).
+	// Repl is replacement selection: an in-memory selection tree emits runs
+	// that average twice the memory size; pages are written BlockPages at a
+	// time (BlockPages=1 is the paper's repl1, 6 its repl6). The tree's
+	// leaves are the input pages, each sorted on arrival into a mini-run;
+	// the runs are the classic record-by-record ones.
 	Repl
 )
 

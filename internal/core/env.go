@@ -155,6 +155,10 @@ type Env struct {
 	stepFn  func() int
 	// eventPanics counts OnEvent callbacks that panicked and were recovered.
 	eventPanics int
+	// onSplitPage, when set, observes replacement selection at every
+	// page boundary of the split: the record slots its mini-run buffers pin
+	// and the records they hold. Tests use it to check the residency bound.
+	onSplitPage func(pinned, live int)
 }
 
 // nextStep hands out the next merge-step id.

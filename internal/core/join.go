@@ -218,10 +218,10 @@ func (j *joinEngine) jointStep() (bool, error) {
 	m.startStep(st) // an interrupted attempt leaves its span open; the retry is a new step
 	m.curStep = st
 	defer func() { m.curStep = nil }()
-	lh := headHeap{cmp: &m.cmp}
-	rh := headHeap{cmp: &m.cmp}
-	prime := func(runs []*runInfo, hh *headHeap) (stepResult, error) {
-		for _, r := range runs {
+	var lh, rh runTree
+	prime := func(runs []*runInfo, t *runTree) (stepResult, error) {
+		t.reset(runs, &m.cmp)
+		for i, r := range runs {
 			if !r.wsValid {
 				if r.exhausted() {
 					continue
@@ -237,8 +237,9 @@ func (j *joinEngine) jointStep() (bool, error) {
 					continue
 				}
 			}
-			hh.push(r)
+			t.add(i)
 		}
+		t.build()
 		return pageProduced, nil
 	}
 
@@ -268,8 +269,7 @@ func (j *joinEngine) jointStep() (bool, error) {
 			}
 		}
 
-		// (Re)build both head heaps — buffers may have moved underneath us.
-		lh.rs, rh.rs = lh.rs[:0], rh.rs[:0]
+		// (Re)build both trees — buffers may have moved underneath us.
 		if res, err := prime(j.left, &lh); err != nil || res == needAdapt {
 			if err != nil {
 				return false, err
@@ -324,7 +324,7 @@ func (j *joinEngine) jointStep() (bool, error) {
 // produced (or an input blocks / everything is consumed). All state —
 // including a half-processed equal-key group — survives interruption, so a
 // retry after adaptation resumes exactly where it stopped.
-func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, error) {
+func (j *joinEngine) joinSome(st *mergeStep, lh, rh *runTree) (stepResult, error) {
 	m := j.m
 	R := m.cfg.PageRecords
 	produced := 0
@@ -338,7 +338,7 @@ func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, erro
 			}
 			continue
 		}
-		if len(lh.rs) == 0 || len(rh.rs) == 0 {
+		if lh.empty() || rh.empty() {
 			// One side exhausted, no group pending: no matches remain.
 			lDone, err := j.drainAll(st, lh)
 			if err != nil {
@@ -353,7 +353,7 @@ func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, erro
 			}
 			return needAdapt, nil
 		}
-		l, r := lh.rs[0].r, rh.rs[0].r
+		l, r := lh.min(), rh.min()
 		switch {
 		case l.ws.Key < r.ws.Key:
 			res, err := m.advanceRun(st, l)
@@ -364,9 +364,9 @@ func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, erro
 				return needAdapt, nil
 			}
 			if res == advDry {
-				lh.popRoot()
+				lh.removeMin()
 			} else {
-				lh.fixRoot()
+				lh.replayMin()
 			}
 		case l.ws.Key > r.ws.Key:
 			res, err := m.advanceRun(st, r)
@@ -377,9 +377,9 @@ func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, erro
 				return needAdapt, nil
 			}
 			if res == advDry {
-				rh.popRoot()
+				rh.removeMin()
 			} else {
-				rh.fixRoot()
+				rh.replayMin()
 			}
 		default:
 			// Equal keys: open a group; the next iteration gathers the
@@ -400,12 +400,12 @@ func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, erro
 // operator workspace — standard sort-merge-join group handling), emits the
 // cross product with every left record of the key, and closes the group.
 // Interruptions leave the group pending for the next call.
-func (j *joinEngine) processGroup(st *mergeStep, lh, rh *headHeap, produced *int) (stepResult, error) {
+func (j *joinEngine) processGroup(st *mergeStep, lh, rh *runTree, produced *int) (stepResult, error) {
 	m := j.m
 	R := m.cfg.PageRecords
 	key := j.groupKey
-	for len(rh.rs) > 0 && rh.rs[0].key == key {
-		rr := rh.rs[0].r
+	for !rh.empty() && rh.top().key == key {
+		rr := rh.min()
 		j.group = append(j.group, rr.ws)
 		res, err := m.advanceRun(st, rr)
 		if err != nil {
@@ -415,13 +415,13 @@ func (j *joinEngine) processGroup(st *mergeStep, lh, rh *headHeap, produced *int
 			return needAdapt, nil
 		}
 		if res == advDry {
-			rh.popRoot()
+			rh.removeMin()
 		} else {
-			rh.fixRoot()
+			rh.replayMin()
 		}
 	}
-	for len(lh.rs) > 0 && lh.rs[0].key == key {
-		ll := lh.rs[0].r
+	for !lh.empty() && lh.top().key == key {
+		ll := lh.min()
 		for _, g := range j.group {
 			payload := make([]byte, 0, len(ll.ws.Payload)+len(g.Payload))
 			payload = append(payload, ll.ws.Payload...)
@@ -447,9 +447,9 @@ func (j *joinEngine) processGroup(st *mergeStep, lh, rh *headHeap, produced *int
 			return needAdapt, nil
 		}
 		if res == advDry {
-			lh.popRoot()
+			lh.removeMin()
 		} else {
-			lh.fixRoot()
+			lh.replayMin()
 		}
 	}
 	j.groupValid = false
@@ -458,10 +458,10 @@ func (j *joinEngine) processGroup(st *mergeStep, lh, rh *headHeap, produced *int
 
 // drainAll consumes the rest of one side without emitting (no matches
 // remain). Returns done=false if a load blocked on memory.
-func (j *joinEngine) drainAll(st *mergeStep, hh *headHeap) (done bool, err error) {
+func (j *joinEngine) drainAll(st *mergeStep, t *runTree) (done bool, err error) {
 	m := j.m
-	for len(hh.rs) > 0 {
-		r := hh.rs[0].r
+	for !t.empty() {
+		r := t.min()
 		res, err := m.advanceRun(st, r)
 		if err != nil {
 			return false, err
@@ -470,9 +470,9 @@ func (j *joinEngine) drainAll(st *mergeStep, hh *headHeap) (done bool, err error
 			return false, nil
 		}
 		if res == advDry {
-			hh.popRoot()
+			t.removeMin()
 		} else {
-			hh.fixRoot()
+			t.replayMin()
 		}
 	}
 	return true, nil

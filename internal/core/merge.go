@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 )
@@ -55,17 +54,17 @@ type mergeEngine struct {
 	mruClock int64
 	cmp      int64 // comparison charges accumulated between flushes
 
-	// hh is the head heap over the active step's runs. It persists across
-	// output pages — rebuilding it per page costs Θ(fan-in) comparisons and
-	// an allocation per page — and is invalidated only when the step's run
-	// set changes (split, combine, absorb) or a run blocks mid-advance.
-	hh      headHeap
-	hhStep  *mergeStep // step hh was built for
-	hhValid bool
+	// tree selects over the active step's runs. It persists across output
+	// pages — rebuilding it per page costs Θ(fan-in) comparisons per page —
+	// and is invalidated only when the step's run set changes (split,
+	// combine, absorb) or a run blocks mid-advance.
+	tree      runTree
+	treeStep  *mergeStep // step tree was built for
+	treeValid bool
 }
 
-// invalidateHeap forces the next produceOnePage to rebuild the head heap.
-func (m *mergeEngine) invalidateHeap() { m.hhValid = false }
+// invalidateTree forces the next produceOnePage to rebuild the tree.
+func (m *mergeEngine) invalidateTree() { m.treeValid = false }
 
 // mergeRuns merges runs into a single result run under the configured
 // merging strategy and adaptation strategy.
@@ -128,7 +127,7 @@ func (m *mergeEngine) newOutRun() (*runInfo, error) {
 func (m *mergeEngine) releaseStep(st *mergeStep) {
 	_ = m.waitOut()
 	m.outBuf, m.outSent, m.outFree = nil, nil, nil
-	m.invalidateHeap()
+	m.invalidateTree()
 	seen := map[*mergeStep]bool{}
 	var visit func(*mergeStep)
 	visit = func(s *mergeStep) {
@@ -465,7 +464,7 @@ func (m *mergeEngine) splitActive(target int) error {
 		m.e.emit(EvSplitStep, len(chosen), "")
 		m.startStep(sub)
 	}
-	m.invalidateHeap() // run sets changed on every step along the chain
+	m.invalidateTree() // run sets changed on every step along the chain
 	m.active = st
 	m.rebalance(st)
 	return nil
@@ -490,7 +489,7 @@ func (m *mergeEngine) absorb(st *mergeStep) error {
 		}
 	}
 	st.inputs = append(inputs, prelim.inputs...)
-	m.invalidateHeap() // the absorbed runs must enter the heap
+	m.invalidateTree() // the absorbed runs must enter the tree
 	m.e.emit(EvCombineDone, len(st.inputs), "")
 	return m.freeRun(drained)
 }
@@ -751,7 +750,7 @@ func (m *mergeEngine) finishStep(st *mergeStep) error {
 		}
 	}
 	st.out.producer = nil
-	m.invalidateHeap()
+	m.invalidateTree()
 	m.st.MergeSteps++
 	m.e.emitStep(EvStepDone, len(st.inputs), st.id, "")
 	if g := m.e.Mem.Granted(); g > m.st.MaxGranted {
@@ -802,7 +801,7 @@ func (m *mergeEngine) maybeQuiesce(st *mergeStep) error {
 	for _, r := range st.inputs {
 		r.drop()
 	}
-	m.invalidateHeap()
+	m.invalidateTree()
 	m.e.yieldAll()
 	m.st.Suspensions++
 	m.e.emit(EvSuspend, st.need(), "")
@@ -813,76 +812,44 @@ func (m *mergeEngine) maybeQuiesce(st *mergeStep) error {
 	return nil
 }
 
-// headEntry is one headHeap node: the run's current key cached beside the
-// run pointer, so the common comparison touches only the 16-byte entry
-// (payloads are consulted only to break key ties).
-type headEntry struct {
-	key Key
-	r   *runInfo
+// runTree is the selection tree over a merge's input runs (or one side of
+// a join): leaf i holds runs[i]'s workspace record. The record's key is
+// cached in the tree, so advancing a run replays one leaf-to-root path of
+// 16-byte nodes, and payloads are read only to break key ties.
+type runTree struct {
+	selTree
+	runs []*runInfo
 }
 
-// headHeap is a min-heap over the current records of loaded runs, playing
-// the selection tree's role; its comparison count is charged to the CPU.
-// The comparison algorithm matches Less exactly (key, then payload bytes),
-// so the cached-key layout changes no comparison counts.
-type headHeap struct {
-	rs  []headEntry
-	cmp *int64
+// reset empties the tree over runs; add the runs with a valid workspace,
+// then build.
+func (h *runTree) reset(runs []*runInfo, cmp *int64) {
+	h.runs = append(h.runs[:0], runs...)
+	h.cmp = cmp
+	h.selTree.reset(len(runs))
 }
 
-func (h *headHeap) less(i, j int) bool {
-	*h.cmp++
-	a, b := h.rs[i], h.rs[j]
-	if a.key != b.key {
-		return a.key < b.key
+// add places runs[i]'s workspace record.
+func (h *runTree) add(i int) { h.place(i, 0, h.runs[i].ws) }
+
+// min returns the run holding the smallest workspace record, or nil when no
+// run is in the tree.
+func (h *runTree) min() *runInfo {
+	if h.empty() {
+		return nil
 	}
-	return bytes.Compare(a.r.ws.Payload, b.r.ws.Payload) < 0
+	return h.runs[h.top().leaf()]
 }
 
-func (h *headHeap) push(r *runInfo) {
-	h.rs = append(h.rs, headEntry{key: r.ws.Key, r: r})
-	i := len(h.rs) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		h.rs[i], h.rs[p] = h.rs[p], h.rs[i]
-		i = p
-	}
+// replayMin replays the min run's leaf after it advanced to a new
+// workspace record.
+func (h *runTree) replayMin() {
+	leaf := h.top().leaf()
+	h.set(leaf, 0, h.runs[leaf].ws)
 }
 
-// fixRoot restores heap order after the root run advanced to a new record
-// (refreshing its cached key first).
-func (h *headHeap) fixRoot() {
-	h.rs[0].key = h.rs[0].r.ws.Key
-	i := 0
-	n := len(h.rs)
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && h.less(l, s) {
-			s = l
-		}
-		if r < n && h.less(r, s) {
-			s = r
-		}
-		if s == i {
-			return
-		}
-		h.rs[i], h.rs[s] = h.rs[s], h.rs[i]
-		i = s
-	}
-}
-
-func (h *headHeap) popRoot() {
-	n := len(h.rs) - 1
-	h.rs[0] = h.rs[n]
-	h.rs = h.rs[:n]
-	if n > 0 {
-		h.fixRoot()
-	}
-}
+// removeMin vacates the min run's leaf (the run ran dry).
+func (h *runTree) removeMin() { h.vacate(h.top().leaf()) }
 
 type advResult int
 
@@ -921,9 +888,9 @@ func (m *mergeEngine) advanceRun(st *mergeStep, r *runInfo) (advResult, error) {
 // run empties (correctness requires absorbing before emitting more) or
 // needAdapt when a buffer cannot be loaded under the current memory.
 //
-// The head heap persists across calls: it is rebuilt only when the step
-// changed or something invalidated it. Run workspaces survive buffer drops
-// (suspension, paging eviction, reclaim), so heap order stays correct
+// The selection tree persists across calls: it is rebuilt only when the
+// step changed or something invalidated it. Run workspaces survive buffer
+// drops (suspension, paging eviction, reclaim), so the tree stays correct
 // across those events without a rebuild.
 func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 	R := m.cfg.PageRecords
@@ -931,13 +898,12 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 	if st.drainOf != nil {
 		drainRun = st.drainOf.out
 	}
-	hh := &m.hh
-	if !m.hhValid || m.hhStep != st {
-		hh.cmp = &m.cmp
-		hh.rs = hh.rs[:0]
-		m.hhStep = st
-		m.hhValid = false
-		for _, r := range st.inputs {
+	t := &m.tree
+	if !m.treeValid || m.treeStep != st {
+		t.reset(st.inputs, &m.cmp)
+		m.treeStep = st
+		m.treeValid = false
+		for i, r := range st.inputs {
 			if !r.wsValid {
 				if r.exhausted() {
 					continue
@@ -953,38 +919,39 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 					continue
 				}
 			}
-			hh.push(r)
+			t.add(i)
 		}
-		m.hhValid = true
+		t.build()
+		m.treeValid = true
 	}
 	if drainRun != nil && drainRun.exhausted() {
 		return drainEmpty, nil
 	}
-	if len(hh.rs) == 0 {
-		m.invalidateHeap()
+	if t.empty() {
+		m.invalidateTree()
 		return stepDone, nil
 	}
-	for len(m.outBuf) < R && len(hh.rs) > 0 {
-		r := hh.rs[0].r
+	for len(m.outBuf) < R && !t.empty() {
+		r := t.min()
 		m.appendOut(r.ws)
 		res, err := m.advanceRun(st, r)
 		if err != nil {
-			m.invalidateHeap()
+			m.invalidateTree()
 			return 0, err
 		}
 		switch res {
 		case advOK:
-			hh.fixRoot()
+			t.replayMin()
 		case advBlocked:
-			// The root consumed its workspace but could not refill: the heap
-			// no longer reflects it. Rebuild after adaptation.
-			m.invalidateHeap()
+			// The min run consumed its workspace but could not refill: the
+			// tree no longer reflects it. Rebuild after adaptation.
+			m.invalidateTree()
 			if err := m.flushOut(st); err != nil {
 				return 0, err
 			}
 			return needAdapt, nil
 		case advDry:
-			hh.popRoot()
+			t.removeMin()
 			if r == drainRun {
 				if err := m.flushOut(st); err != nil {
 					return 0, err

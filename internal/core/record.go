@@ -23,13 +23,16 @@ type Record struct {
 	Payload []byte
 }
 
-// Less reports whether a orders before b.
+// Less reports whether a orders before b. It inlines at its call sites;
+// payload bytes are compared, out of line, only on a key tie.
 func Less(a, b Record) bool {
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	return bytes.Compare(a.Payload, b.Payload) < 0
+	return a.Key < b.Key || a.Key == b.Key && payloadLess(a, b)
 }
+
+// payloadLess stays out of line so that Less fits the inlining budget.
+//
+//go:noinline
+func payloadLess(a, b Record) bool { return bytes.Compare(a.Payload, b.Payload) < 0 }
 
 // Page is one disk page worth of records. Pages within a run are full except
 // possibly the last one (or pages flushed early during an adaptation, which

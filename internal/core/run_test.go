@@ -66,38 +66,28 @@ func TestRunInfoRemainingPages(t *testing.T) {
 	}
 }
 
-func TestHeadHeapOrdering(t *testing.T) {
-	var cmp int64
-	hh := headHeap{cmp: &cmp}
-	keys := []uint64{42, 7, 99, 1, 55}
-	for _, k := range keys {
-		r := &runInfo{ws: Record{Key: k}, wsValid: true}
-		hh.push(r)
+func TestRecordLessTiebreak(t *testing.T) {
+	a := Record{Key: 5, Payload: []byte("a")}
+	b := Record{Key: 5, Payload: []byte("b")}
+	if !Less(a, b) || Less(b, a) {
+		t.Fatal("payload must break key ties")
 	}
-	if hh.rs[0].r.ws.Key != 1 {
-		t.Fatalf("min = %d", hh.rs[0].r.ws.Key)
+	if Less(a, a) {
+		t.Fatal("irreflexive")
 	}
-	// Replace the root run's current record and fix: the heap must refresh
-	// the cached key and re-establish order.
-	hh.rs[0].r.ws.Key = 60
-	hh.fixRoot()
-	if hh.rs[0].r.ws.Key != 7 {
-		t.Fatalf("after fix min = %d", hh.rs[0].r.ws.Key)
+	if !Less(Record{Key: 1}, Record{Key: 2}) {
+		t.Fatal("key ordering")
 	}
-	var prev uint64
-	for i := 0; len(hh.rs) > 0; i++ {
-		k := hh.rs[0].r.ws.Key
-		if hh.rs[0].key != k {
-			t.Fatalf("cached key %d out of sync with ws key %d", hh.rs[0].key, k)
+}
+
+func TestPagesForTuples(t *testing.T) {
+	cases := []struct{ n, r, want int }{
+		{0, 8, 0}, {1, 8, 1}, {8, 8, 1}, {9, 8, 2}, {64, 8, 8}, {-3, 8, 0},
+	}
+	for _, c := range cases {
+		if got := PagesForTuples(c.n, c.r); got != c.want {
+			t.Fatalf("PagesForTuples(%d,%d) = %d, want %d", c.n, c.r, got, c.want)
 		}
-		if i > 0 && k < prev {
-			t.Fatal("heap pops out of order")
-		}
-		prev = k
-		hh.popRoot()
-	}
-	if cmp == 0 {
-		t.Fatal("comparisons must be counted")
 	}
 }
 

@@ -2,7 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"github.com/memadapt/masort/internal/randx"
 )
 
 func splitOnly(t *testing.T, recs []Record, cfg SortConfig, total int, script []targetChange) ([]*runInfo, *memStore, *SortStats) {
@@ -151,4 +156,92 @@ func TestSplitDelaysQuickVsRepl(t *testing.T) {
 	rRuns, rStore, _ := splitOnly(t, recs, replCfg, 16, script)
 	checkRunsValid(t, qStore, qRuns, 4000)
 	checkRunsValid(t, rStore, rRuns, 4000)
+}
+
+// compareRecords is the engine's record order as a slices.SortFunc
+// comparator.
+func compareRecords(a, b Record) int {
+	switch {
+	case Less(a, b):
+		return -1
+	case Less(b, a):
+		return 1
+	}
+	return 0
+}
+
+// TestReplSplitResidencyBound feeds replacement selection the worst case
+// for page mini-runs: every 256 records are 255 ascending keys and one
+// math.MaxUint64. The big key stays in the current run until its end, so
+// without compaction each page's buffer stays pinned for a single record.
+// Under a shrinking and growing budget, the slots pinned by mini-run
+// buffers must stay within 2·live + one page at every page boundary, and
+// the sort must still match slices.SortFunc.
+func TestReplSplitResidencyBound(t *testing.T) {
+	var recs []Record
+	for i := 0; i < 64*256; i++ {
+		if i%256 == 255 {
+			recs = append(recs, Record{Key: math.MaxUint64})
+		} else {
+			recs = append(recs, Record{Key: uint64(i)})
+		}
+	}
+	want := slices.Clone(recs)
+	slices.SortFunc(want, compareRecords)
+	for _, r := range []int{1, 3, 256} {
+		for _, block := range []int{1, 6} {
+			t.Run(fmt.Sprintf("R%d/N%d", r, block), func(t *testing.T) {
+				cfg := SortConfig{Method: Repl, BlockPages: block, Adapt: DynSplit, Merge: OptMerge, PageRecords: r, MinPages: 3}
+				env, store, broker, _ := testEnv(t, recs, r, 16, 3)
+				broker.script = []targetChange{{200, 6}, {600, 16}, {1500, 4}, {2500, 16}, {4000, 5}, {7000, 16}}
+				checks := 0
+				env.onSplitPage = func(pinned, live int) {
+					checks++
+					if pinned > 2*live+r {
+						t.Fatalf("page boundary %d: %d slots pinned for %d live records (bound %d)",
+							checks, pinned, live, 2*live+r)
+					}
+				}
+				res, err := ExternalSort(env, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if checks == 0 {
+					t.Fatal("the split reported no page boundary")
+				}
+				got := runRecords(t, store, res.Result)
+				if !slices.EqualFunc(got, want, func(a, b Record) bool { return !Less(a, b) && !Less(b, a) }) {
+					t.Fatalf("output (%d records) differs from slices.SortFunc (%d records)", len(got), len(want))
+				}
+			})
+		}
+	}
+}
+
+// TestSortPageMatchesSortFunc checks the page sort against slices.SortFunc
+// on every length up to two pages, with frequent key ties broken by
+// payload bytes (nil payloads included).
+func TestSortPageMatchesSortFunc(t *testing.T) {
+	rng := randx.New(5, "sortpage")
+	tmp := make([]Record, 512)
+	for n := 0; n <= 512; n++ {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i].Key = rng.Uint64() % 32
+			if rng.Uint64()%3 != 0 {
+				recs[i].Payload = []byte{byte(rng.Uint64() % 4)}
+			}
+		}
+		want := slices.Clone(recs)
+		slices.SortFunc(want, compareRecords)
+		cmps := sortPage(recs, tmp)
+		if n > 1 && cmps < int64(n-1) {
+			t.Fatalf("n=%d: %d comparisons cannot sort", n, cmps)
+		}
+		for i := range recs {
+			if Less(recs[i], want[i]) || Less(want[i], recs[i]) {
+				t.Fatalf("n=%d: position %d got %v, want %v", n, i, recs[i], want[i])
+			}
+		}
+	}
 }
