@@ -123,9 +123,9 @@
 //   - MmapStore (StoreConfig.Mmap): file-backed runs read zero-copy
 //     through a memory mapping; falls back with ErrMmapUnsupported where
 //     mmap is unavailable. Read-heavy merges on large page caches: on the
-//     perfbench payload-fluctuating workload it allocates 1.5 B per input
-//     byte against FileStore's 5.0 and spends 1.16 s of CPU per sort
-//     against 1.47 s, because paging hardware carries the reads.
+//     perfbench payload-fluctuating workload it allocates 0.83 B per input
+//     byte against FileStore's 3.73 and spends 0.74 s of CPU per sort
+//     against 1.01 s, because paging hardware carries the reads.
 //
 // NewStoreConfig is the only way to configure a store. Every backend
 // honors the same RunStore contract (see RunStore), passes the storetest
@@ -134,13 +134,17 @@
 //
 // # Buffer ownership
 //
-// The engine allocates near zero in steady state, which makes buffer
-// ownership part of the contract. Slices given to NewSliceIterator are
-// read in place (do not mutate them until the operator returns). Pages
-// passed to RunStore.Append belong to the store only until the returned
-// token completes. Pages returned by RunStore.ReadAsync are read-only.
-// FileStore decodes pages zero-copy: every Record.Payload of a page
-// aliases one read buffer, which lives exactly as long as records
+// A sort reuses its page frames, so its allocation follows its grant
+// rather than its input, which makes buffer ownership part of the
+// contract. Slices given to NewSliceIterator are read in place (do not
+// mutate them until the operator returns). Pages passed to
+// RunStore.Append belong to the store only until the returned token
+// completes. Pages returned by RunStore.ReadAsync are read-only; FileStore,
+// MmapStore and StripedStore decode them into pooled frames that the
+// engine hands back once it stops referencing them (a store wrapped in a
+// caller's type hides this, and its reads allocate as before). Payloads
+// are zero-copy and never recycled: every Record.Payload of a FileStore
+// page aliases one read buffer, which lives exactly as long as records
 // referencing it — callers retaining payloads from many pages should copy
 // them (append([]byte(nil), rec.Payload...)), and must never mutate them.
 // See README.md ("Buffer ownership and zero-copy") for the full rules.

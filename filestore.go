@@ -60,7 +60,7 @@ type FileStore struct {
 	own bool // remove dir on Close
 
 	readSem chan struct{} // bounds concurrently executing page reads
-	bufs    sync.Pool     // *[]byte encode / read buffers
+	bufs    bufPool       // encode / read buffers
 
 	// sums selects the checksummed page framing (on by default). All runs
 	// of one store share a framing; toggling it on a store with live runs
@@ -219,30 +219,32 @@ type fsWriteJob struct {
 	tok *fsToken
 }
 
-// fsToken is an asynchronous write completion handle. retries is written
-// by the run's writer goroutine before done closes; Wait's channel receive
-// orders the reads after it.
+// fsToken is an asynchronous write completion handle. err and retries are
+// written by the run's writer goroutine before done is released; Wait
+// orders the reads after it. A WaitGroup rather than a channel keeps the
+// token one allocation.
 type fsToken struct {
-	done    chan struct{}
+	done    sync.WaitGroup
 	err     error
 	retries int
 }
 
-func (t *fsToken) Wait() error { <-t.done; return t.err }
+func (t *fsToken) Wait() error { t.done.Wait(); return t.err }
 
 // Retries reports how many failed write attempts were retried before the
 // batch settled. Valid after Wait returns.
 func (t *fsToken) Retries() int { return t.retries }
 
-// fsPageToken is an asynchronous read completion handle.
+// fsPageToken is an asynchronous read completion handle, released like
+// fsToken.
 type fsPageToken struct {
-	done    chan struct{}
+	done    sync.WaitGroup
 	pg      Page
 	err     error
 	retries int
 }
 
-func (t *fsPageToken) Wait() (Page, error) { <-t.done; return t.pg, t.err }
+func (t *fsPageToken) Wait() (Page, error) { t.done.Wait(); return t.pg, t.err }
 
 // Retries reports how many failed read attempts (transient errors and
 // corruption re-reads) were retried before the read settled. Valid after
@@ -286,24 +288,6 @@ func newFileStore(dir string, cfg *StoreConfig, device int) (*FileStore, error) 
 
 // Dir returns the directory holding run files.
 func (s *FileStore) Dir() string { return s.dir }
-
-func (s *FileStore) getBuf(n int) []byte {
-	if v := s.bufs.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-func (s *FileStore) putBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	s.bufs.Put(&b)
-}
 
 // Close frees every run and removes the directory if the store owns it.
 func (s *FileStore) Close() error {
@@ -363,8 +347,8 @@ func (s *FileStore) runWriter(r *fileRun) {
 		r.mu.Unlock()
 		if werr != nil {
 			job.tok.err = werr
-			close(job.tok.done)
-			s.putBuf(job.buf)
+			job.tok.done.Done()
+			s.bufs.putBuf(job.buf)
 			s.noteQueue(-1)
 			continue
 		}
@@ -384,8 +368,8 @@ func (s *FileStore) runWriter(r *fileRun) {
 		r.mu.Unlock()
 		job.tok.retries = retries
 		job.tok.err = err
-		close(job.tok.done)
-		s.putBuf(job.buf)
+		job.tok.done.Done()
+		s.bufs.putBuf(job.buf)
 		s.noteQueue(-1)
 	}
 }
@@ -472,21 +456,18 @@ func (s *FileStore) Append(id RunID, pages []Page) (Token, error) {
 		return nil, fmt.Errorf("masort: append to freed run %d", id)
 	}
 	start := r.end
-	buf := s.getBuf(0)[:0]
+	buf := s.bufs.getBuf(encodedSize(pages, s.sums))[:0]
 	for _, pg := range pages {
 		r.offsets = append(r.offsets, start+int64(len(buf)))
-		if s.sums {
-			buf = pagecodec.AppendPageSum(buf, pg)
-		} else {
-			buf = pagecodec.AppendPage(buf, pg)
-		}
+		buf = appendPage(buf, pg, s.sums)
 	}
 	r.end = start + int64(len(buf))
 	// Registered under the lock so teardownRun cannot close wq between the
 	// closing check above and the send below.
 	r.appends.Add(1)
 	r.mu.Unlock()
-	tok := &fsToken{done: make(chan struct{})}
+	tok := &fsToken{}
+	tok.done.Add(1)
 	s.noteQueue(1) // before the send: the depth must never read negative
 	r.wq <- fsWriteJob{off: start, buf: buf, tok: tok}
 	r.appends.Done()
@@ -524,14 +505,15 @@ func (s *FileStore) ReadAsync(id RunID, page int) PageToken {
 	}
 	r.readers.Add(1)
 	r.mu.Unlock()
-	tok := &fsPageToken{done: make(chan struct{})}
+	tok := &fsPageToken{}
+	tok.done.Add(1)
 	go s.readPage(r, id, page, off, end, tok)
 	return tok
 }
 
 func (s *FileStore) readPage(r *fileRun, id RunID, page int, off, end int64, tok *fsPageToken) {
 	defer r.readers.Done()
-	defer close(tok.done)
+	defer tok.done.Done()
 	// Wait for the page's bytes to be durable (its write may still be in the
 	// background writer's queue). A write failure anywhere in the run wakes
 	// and fails this read even if its own bytes are durable: the run is
@@ -601,14 +583,14 @@ func (s *FileStore) readPage(r *fileRun, id RunID, page int, off, end int64, tok
 // wrapping ErrCorruptPage; a ReadAt failure returns the raw cause for the
 // caller to classify.
 func (s *FileStore) readOnce(r *fileRun, off, end int64) (Page, error) {
-	buf := s.getBuf(int(end - off))
+	buf := s.bufs.getBuf(int(end - off))
 	if _, err := r.f.ReadAt(buf, off); err != nil {
-		s.putBuf(buf)
+		s.bufs.putBuf(buf)
 		return nil, err
 	}
 	if s.faults != nil {
 		if err := s.faults.AfterRead(off, buf); err != nil {
-			s.putBuf(buf)
+			s.bufs.putBuf(buf)
 			return nil, err
 		}
 	}
@@ -618,10 +600,11 @@ func (s *FileStore) readOnce(r *fileRun, off, end int64) (Page, error) {
 		n     int
 		err   error
 	)
+	frame := getFrame()
 	if s.sums {
-		pg, alias, n, err = pagecodec.DecodePageSum(buf)
+		pg, alias, n, err = pagecodec.DecodePageSum(frame, buf)
 	} else {
-		pg, alias, n, err = pagecodec.DecodePage(buf)
+		pg, alias, n, err = pagecodec.DecodePage(frame, buf)
 	}
 	if err != nil || n != len(buf) {
 		if err == nil {
@@ -629,13 +612,14 @@ func (s *FileStore) readOnce(r *fileRun, off, end int64) (Page, error) {
 		}
 		// The message references len(buf), so build it before recycling.
 		err = fmt.Errorf("decode of %d-byte extent: %w: %w", len(buf), ErrCorruptPage, err)
-		s.putBuf(buf)
+		putFrame(frame)
+		s.bufs.putBuf(buf)
 		return nil, err
 	}
 	if alias == 0 {
 		// No payload bytes escaped into the page: the buffer is dead and can
 		// be recycled now. Otherwise the decoded records own it.
-		s.putBuf(buf)
+		s.bufs.putBuf(buf)
 	}
 	return pg, nil
 }

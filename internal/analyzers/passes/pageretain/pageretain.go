@@ -7,8 +7,9 @@
 //     buffers the moment the token completes. Storing the pages (or an
 //     element of them) into a field, global or map, or capturing them in a
 //     goroutine, is durable retention and corrupts recycled pages.
-//   - Pooled buffers (FileStore.getBuf/putBuf, sync.Pool) must not be used
-//     after being returned to the pool.
+//   - Pooled buffers (getBuf/putBuf, sync.Pool) and page frames (a store's
+//     recycle, the engine's Env.Recycle hook, the frame pool's putFrame)
+//     must not be used after being returned to the pool.
 //   - pagecodec.DecodePage's aliasBytes result says whether the decoded
 //     records still alias the input buffer; discarding it while recycling
 //     the buffer in the same function is a latent aliasing bug.
@@ -209,7 +210,7 @@ func reportTaintedCaptures(pass *analysis.Pass, tainted map[types.Object]bool, l
 	})
 }
 
-// ---- rules B and C: pooled buffers die at putBuf/Put ----
+// ---- rules B and C: pooled buffers die at putBuf/Put/recycle ----
 
 type putCall struct {
 	obj      types.Object
@@ -302,18 +303,29 @@ func checkRecycle(pass *analysis.Pass, fd *ast.FuncDecl) {
 }
 
 // recycledBuffer returns the buffer object a call returns to a pool:
-// x.putBuf(b), pool.Put(&b) / pool.Put(b) for a sync.Pool. Nil otherwise.
+// x.putBuf(b), pool.Put(&b) / pool.Put(b) for a sync.Pool, and the page
+// frame returns x.recycle(pg), e.Recycle(pg) and putFrame(pg). Nil
+// otherwise.
 func recycledBuffer(pass *analysis.Pass, call *ast.CallExpr) types.Object {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 1 {
+	if len(call.Args) != 1 {
 		return nil
 	}
-	switch sel.Sel.Name {
-	case "putBuf":
-		// Any method named putBuf is treated as a pool return.
-	case "Put":
-		tv, ok := pass.TypesInfo.Types[sel.X]
-		if !ok || !isSyncPool(tv.Type) {
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn.Name != "putFrame" {
+			return nil
+		}
+	case *ast.SelectorExpr:
+		switch fn.Sel.Name {
+		case "putBuf", "putFrame", "recycle", "Recycle":
+			// Any method or func-valued field with these names is treated as
+			// a pool return.
+		case "Put":
+			tv, ok := pass.TypesInfo.Types[fn.X]
+			if !ok || !isSyncPool(tv.Type) {
+				return nil
+			}
+		default:
 			return nil
 		}
 	default:
@@ -356,9 +368,9 @@ func enclosingBlockInfo(stack []ast.Node, n ast.Node) (*ast.BlockStmt, bool) {
 	return nil, false
 }
 
-// checkDecodeAlias implements rule C: pg, _, n, err := DecodePage(buf) in
-// a function that also recycles buf is discarding the only signal that pg
-// still aliases buf.
+// checkDecodeAlias implements rule C: pg, _, n, err := DecodePage(dst, buf)
+// in a function that also recycles buf is discarding the only signal that
+// pg still aliases buf. The encoded buffer is the call's last argument.
 func checkDecodeAlias(pass *analysis.Pass, fd *ast.FuncDecl, putObjs map[types.Object]bool) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
@@ -373,7 +385,7 @@ func checkDecodeAlias(pass *analysis.Pass, fd *ast.FuncDecl, putObjs map[types.O
 		if !ok || alias.Name != "_" {
 			return true
 		}
-		if root := rootIdent(call.Args[0]); root != nil && putObjs[pass.TypesInfo.Uses[root]] {
+		if root := rootIdent(call.Args[len(call.Args)-1]); root != nil && putObjs[pass.TypesInfo.Uses[root]] {
 			pass.Reportf(alias.Pos(),
 				"aliasBytes result of DecodePage is discarded but %s is recycled in this function: decoded payloads may alias a recycled buffer — check aliasBytes before putBuf",
 				root.Name)

@@ -10,9 +10,10 @@ func AppendPage(buf []byte, pg core.Page) []byte {
 	return buf
 }
 
-// DecodePage decodes one page from buf. aliasBytes reports how many bytes
-// of the decoded payloads still alias buf; if non-zero, buf must outlive
-// the page (or the page must be deep-copied) before buf is recycled.
-func DecodePage(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
-	return nil, len(buf), len(buf), nil
+// DecodePage decodes one page from buf into the frame dst. aliasBytes
+// reports how many bytes of the decoded payloads still alias buf; if
+// non-zero, buf must outlive the page (or the page must be deep-copied)
+// before buf is recycled.
+func DecodePage(dst core.Page, buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
+	return dst[:0], len(buf), len(buf), nil
 }

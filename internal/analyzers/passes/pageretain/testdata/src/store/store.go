@@ -1,6 +1,6 @@
 // Package store exercises pageretain: Append page retention (rule A),
-// use-after-recycle of pooled buffers (rule B), and discarded DecodePage
-// alias accounting (rule C).
+// use-after-recycle of pooled buffers and page frames (rule B), and
+// discarded DecodePage alias accounting (rule C).
 package store
 
 import (
@@ -102,7 +102,7 @@ func (s *encodingStore) putBuf(b []byte) {
 // readGood recycles the read buffer only on the no-alias path and never
 // touches it afterwards.
 func (s *encodingStore) readGood(buf []byte) (core.Page, error) {
-	pg, alias, _, err := pagecodec.DecodePage(buf)
+	pg, alias, _, err := pagecodec.DecodePage(nil, buf)
 	if err != nil {
 		s.putBuf(buf)
 		return nil, err
@@ -116,7 +116,7 @@ func (s *encodingStore) readGood(buf []byte) (core.Page, error) {
 // readUseAfterPut recycles the buffer and then keeps decoding from it.
 func (s *encodingStore) readUseAfterPut(buf []byte) (core.Page, error) {
 	s.putBuf(buf)
-	pg, _, _, err := pagecodec.DecodePage(buf) // want `buffer buf used after being returned to the pool` `aliasBytes result of DecodePage is discarded`
+	pg, _, _, err := pagecodec.DecodePage(nil, buf) // want `buffer buf used after being returned to the pool` `aliasBytes result of DecodePage is discarded`
 	return pg, err
 }
 
@@ -137,7 +137,7 @@ func (s *encodingStore) readReassigned(buf []byte) int {
 // readDropAlias recycles the buffer on an error path while discarding the
 // aliasBytes result that says whether pg still points into it.
 func (s *encodingStore) readDropAlias(buf []byte) (core.Page, error) {
-	pg, _, _, err := pagecodec.DecodePage(buf) // want `aliasBytes result of DecodePage is discarded`
+	pg, _, _, err := pagecodec.DecodePage(nil, buf) // want `aliasBytes result of DecodePage is discarded`
 	if err != nil {
 		s.putBuf(buf)
 		return nil, err
@@ -148,7 +148,7 @@ func (s *encodingStore) readDropAlias(buf []byte) (core.Page, error) {
 // readAliasHonored keeps the aliasBytes result and gates the recycle on
 // it. Clean.
 func (s *encodingStore) readAliasHonored(buf []byte) (core.Page, error) {
-	pg, alias, _, err := pagecodec.DecodePage(buf)
+	pg, alias, _, err := pagecodec.DecodePage(nil, buf)
 	if err != nil || alias == 0 {
 		s.putBuf(buf)
 	}
@@ -156,4 +156,57 @@ func (s *encodingStore) readAliasHonored(buf []byte) (core.Page, error) {
 		return nil, err
 	}
 	return pg, nil
+}
+
+// frameStore decodes reads into pooled page frames and takes them back
+// through recycle, like FileStore and MmapStore.
+type frameStore struct {
+	frames sync.Pool
+}
+
+func putFrame(pg core.Page) {}
+
+func (s *frameStore) recycle(pg core.Page) { putFrame(pg) }
+
+// engine holds the store's recycle hook, like core.Env.Recycle.
+type engine struct {
+	Recycle func(core.Page)
+}
+
+// readFrame decodes into a frame and recycles the frame on failure. The
+// frame is not the encoded buffer, so discarding aliasBytes is clean.
+func (s *frameStore) readFrame(buf []byte) (core.Page, error) {
+	frame, _ := s.frames.Get().(core.Page)
+	pg, _, _, err := pagecodec.DecodePage(frame, buf)
+	if err != nil {
+		putFrame(frame)
+		return nil, err
+	}
+	return pg, nil
+}
+
+// firstKeyAfterRecycle reads a page it has already handed back.
+func (s *frameStore) firstKeyAfterRecycle(pg core.Page) uint64 {
+	s.recycle(pg)
+	return pg[0].Key // want `buffer pg used after being returned to the pool`
+}
+
+// hookThenUse releases a page through the engine hook and keeps reading it.
+func (e *engine) hookThenUse(pg core.Page) int {
+	e.Recycle(pg)
+	return len(pg) // want `buffer pg used after being returned to the pool`
+}
+
+// putFrameThenUse returns a frame to the pool and keeps writing to it.
+func putFrameThenUse(pg core.Page) {
+	putFrame(pg)
+	pg[0].Key = 1 // want `buffer pg used after being returned to the pool`
+}
+
+// nextPage recycles the consumed page and moves on to a fresh one: the use
+// after the reassignment refers to the new page. Clean.
+func (s *frameStore) nextPage(pg core.Page, next func() core.Page) uint64 {
+	s.recycle(pg)
+	pg = next()
+	return pg[0].Key
 }

@@ -29,7 +29,9 @@ type PageToken interface {
 // its output page buffers once the token completes. Conversely, pages
 // returned by ReadAsync are owned by the store's caller for reading; the
 // caller must treat them as immutable (stores may return shared or
-// buffer-aliasing pages).
+// buffer-aliasing pages). When the Env carries a Recycle hook, the engine
+// hands every page it read back through it, exactly once, as soon as it
+// stops referencing the page.
 type RunStore interface {
 	// Create opens a new empty run.
 	Create() (RunID, error)
@@ -49,7 +51,11 @@ type RunStore interface {
 // sort makes a single pass over its input during the split phase).
 type Input interface {
 	// NextPage returns the next input page, or ok=false at end of input.
-	NextPage() (Page, bool, error)
+	// A streaming input fills dst (nil, or a page the caller no longer
+	// references) instead of allocating when it has room; inputs that hand
+	// out read-only views of records they already hold ignore it. Either
+	// way the caller must not write to the returned page.
+	NextPage(dst Page) (Page, bool, error)
 }
 
 // Broker arbitrates buffer pages between the sort and the rest of the
@@ -132,6 +138,11 @@ type Env struct {
 	OnEvent func(Event)
 	// Trace optionally receives debug events.
 	Trace func(format string, args ...any)
+	// Recycle, when set, takes back a page returned by Store.ReadAsync
+	// once the engine no longer references it, so the store can decode a
+	// later read into the same frame. Each page read is recycled at most
+	// once; pages dropped on error paths may never be.
+	Recycle func(Page)
 
 	// Worker tags events emitted through this Env with a 1-based parallel
 	// worker id; 0 (the default) marks the operator's own goroutine.
@@ -188,6 +199,13 @@ func (e *Env) setPhase(p string) {
 		e.SetPhase(p)
 	}
 	e.emit(EvPhase, 0, p)
+}
+
+// recycle hands a page read from the store back through the Recycle hook.
+func (e *Env) recycle(pg Page) {
+	if e.Recycle != nil {
+		e.Recycle(pg)
+	}
 }
 
 func (e *Env) setReclaimFn(fn func(need int) int) {
@@ -264,7 +282,7 @@ func freeRuns(e *Env, runs []*runInfo) {
 			continue
 		}
 		r.freed = true
-		r.drop()
+		r.drop(e)
 		if r.shared {
 			continue
 		}

@@ -47,12 +47,13 @@ type mergeEngine struct {
 	active  *mergeStep
 	curStep *mergeStep // step whose buffers the reclaimer may take
 
-	outBuf   Page // output page under construction
-	outSent  Page // page handed to Append, reusable once outTok completes
-	outFree  Page // recycled page buffer for the next outBuf
+	outBuf   Page    // output page under construction
+	outSent  [1]Page // one-page batch handed to Append, reusable once outTok completes
+	outFree  []Page  // recycled page buffers for the next outBuf
 	outTok   Token
 	mruClock int64
-	cmp      int64 // comparison charges accumulated between flushes
+	cmp      int64         // comparison charges accumulated between flushes
+	reads    []pendingRead // load's in-flight reads, reused across calls
 
 	// tree selects over the active step's runs. It persists across output
 	// pages — rebuilding it per page costs Θ(fan-in) comparisons per page —
@@ -126,7 +127,7 @@ func (m *mergeEngine) newOutRun() (*runInfo, error) {
 // handed back. This is the no-leak guarantee for canceled operations.
 func (m *mergeEngine) releaseStep(st *mergeStep) {
 	_ = m.waitOut()
-	m.outBuf, m.outSent, m.outFree = nil, nil, nil
+	m.outBuf, m.outSent[0], m.outFree = nil, nil, nil
 	m.invalidateTree()
 	seen := map[*mergeStep]bool{}
 	var visit func(*mergeStep)
@@ -243,7 +244,7 @@ func (m *mergeEngine) adaptStatic(st *mergeStep) error {
 			return err
 		}
 		for _, r := range st.inputs {
-			r.drop()
+			r.drop(m.e)
 		}
 		m.e.Mem.Yield(m.e.Mem.Granted())
 		m.st.Suspensions++
@@ -293,7 +294,7 @@ func (m *mergeEngine) evictMRU(st *mergeStep) bool {
 	if victim == nil {
 		return false
 	}
-	victim.drop()
+	victim.drop(m.e)
 	return true
 }
 
@@ -544,7 +545,9 @@ func (m *mergeEngine) shedReadAhead(st *mergeStep, n int) int {
 		if victim == nil {
 			break
 		}
-		victim.bufs = victim.bufs[:len(victim.bufs)-1]
+		last := len(victim.bufs) - 1
+		m.e.recycle(victim.bufs[last])
+		victim.bufs = victim.bufs[:last]
 		freed++
 	}
 	return freed
@@ -577,7 +580,7 @@ func (m *mergeEngine) rebalance(st *mergeStep) {
 // paper describes).
 func (m *mergeEngine) dropStepBufs(st *mergeStep) {
 	for _, r := range st.inputs {
-		r.drop()
+		r.drop(m.e)
 	}
 	m.rebalance(st)
 }
@@ -635,6 +638,12 @@ func (m *mergeEngine) noteRead(r *runInfo, page int) {
 	}
 }
 
+// pendingRead is one page read load has issued: page idx of the run.
+type pendingRead struct {
+	idx int
+	tok PageToken
+}
+
 // load brings up to `ahead` consecutive pages of r into memory. Returns
 // ok=false if no buffer slot could be obtained for the first page. A fetched
 // page is discarded (I/O cost still paid) if the reclaimer took the buffers
@@ -645,11 +654,7 @@ func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
 		if n > ahead {
 			n = ahead
 		}
-		type pendingRead struct {
-			idx int
-			tok PageToken
-		}
-		var toks []pendingRead
+		toks := m.reads[:0]
 		for i := 0; i < n; i++ {
 			if !m.ensureSlot(st) {
 				if len(toks) > 0 {
@@ -661,6 +666,7 @@ func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
 			m.noteRead(r, idx)
 			toks = append(toks, pendingRead{idx, m.e.Store.ReadAsync(r.id, idx)})
 		}
+		m.reads = toks
 		for _, pr := range toks {
 			pg, err := pr.tok.Wait()
 			if err != nil {
@@ -668,19 +674,23 @@ func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
 			}
 			if pr.idx == r.page+len(r.bufs) {
 				r.bufs = append(r.bufs, pg)
+			} else {
+				m.e.recycle(pg)
 			}
 		}
+		clear(toks) // drop the completed tokens
 	}
 	return true, nil
 }
 
-// appendOut appends one record to the output page, reusing the recycled
+// appendOut appends one record to the output page, reusing a recycled
 // page buffer when one is available (steady-state merging allocates no new
 // output pages: two buffers rotate through fill → in-flight → free).
 func (m *mergeEngine) appendOut(rec Record) {
 	if m.outBuf == nil {
-		if m.outFree != nil {
-			m.outBuf, m.outFree = m.outFree, nil
+		if n := len(m.outFree); n > 0 {
+			m.outBuf = m.outFree[n-1]
+			m.outFree = m.outFree[:n-1]
 		} else {
 			m.outBuf = make(Page, 0, m.cfg.PageRecords)
 		}
@@ -699,12 +709,13 @@ func (m *mergeEngine) flushOut(st *mergeStep) error {
 	if err := m.waitOut(); err != nil {
 		return err
 	}
-	tok, err := m.e.Store.Append(st.out.id, []Page{pg})
+	m.outSent[0] = pg
+	tok, err := m.e.Store.Append(st.out.id, m.outSent[:])
 	if err != nil {
+		m.outSent[0] = nil
 		return err
 	}
 	m.outTok = tok
-	m.outSent = pg
 	st.out.pages++
 	st.out.tuples += len(pg)
 	m.st.MergePagesWritten++
@@ -723,11 +734,11 @@ func (m *mergeEngine) waitOut() error {
 	}
 	err := m.outTok.Wait()
 	m.outTok = nil
-	if m.outSent != nil {
+	if m.outSent[0] != nil {
 		if err == nil {
-			m.outFree = m.outSent[:0]
+			m.outFree = append(m.outFree, m.outSent[0][:0])
 		}
-		m.outSent = nil
+		m.outSent[0] = nil
 	}
 	return err
 }
@@ -772,7 +783,7 @@ func (m *mergeEngine) freeRun(r *runInfo) error {
 		return nil
 	}
 	r.freed = true
-	r.drop()
+	r.drop(m.e)
 	if r.shared {
 		// A key-range clone: the underlying run is owned by the parallel
 		// merge coordinator, which frees it once every worker is done.
@@ -799,7 +810,7 @@ func (m *mergeEngine) maybeQuiesce(st *mergeStep) error {
 		return err
 	}
 	for _, r := range st.inputs {
-		r.drop()
+		r.drop(m.e)
 	}
 	m.invalidateTree()
 	m.e.yieldAll()
@@ -877,7 +888,7 @@ func (m *mergeEngine) advanceRun(st *mergeStep, r *runInfo) (advResult, error) {
 		r.lastUsed = m.mruClock
 		m.mruClock++
 	}
-	if r.refill() {
+	if r.refill(m.e) {
 		return advOK, nil
 	}
 	return advDry, nil

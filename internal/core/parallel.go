@@ -60,6 +60,7 @@ type crew struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
+	gen     uint64 // counts wakeups, so a waiter can tell it missed one
 	granted []int
 	live    []bool
 	nlive   int
@@ -105,7 +106,7 @@ func newCrew(e *Env, workers, minNeed int) *crew {
 				return
 			}
 			c.mu.Lock()
-			c.cond.Broadcast()
+			c.wakeLocked()
 			c.mu.Unlock()
 		}
 	}()
@@ -154,6 +155,13 @@ func (c *crew) shareLocked(id int) int {
 		s++
 	}
 	return s
+}
+
+// wakeLocked wakes every crew waiter: the budget, a grant or the live set
+// changed.
+func (c *crew) wakeLocked() {
+	c.gen++
+	c.cond.Broadcast()
 }
 
 // waitLocked blocks on the crew condition until the next wakeup (sibling
@@ -235,7 +243,7 @@ func (c *crew) leave(id int) {
 		c.total -= g
 		c.parent.Yield(g)
 	}
-	c.cond.Broadcast()
+	c.wakeLocked()
 }
 
 // maxGranted reports the high-water mark of pages held by the whole crew.
@@ -252,15 +260,16 @@ func (c *crew) maxGranted() int {
 // stay unique.
 func (c *crew) workerEnv(e *Env, id int, mux *eventMux) *Env {
 	we := &Env{
-		In:     e.In,
-		Store:  e.Store,
-		Mem:    &workerShare{c: c, id: id},
-		Meter:  e.Meter,
-		Ctx:    e.Ctx,
-		Now:    e.Now,
-		Trace:  e.Trace,
-		Worker: id + 1,
-		stepFn: func() int { return int(c.steps.Add(1)) },
+		In:      e.In,
+		Store:   e.Store,
+		Mem:     &workerShare{c: c, id: id},
+		Meter:   e.Meter,
+		Ctx:     e.Ctx,
+		Now:     e.Now,
+		Trace:   e.Trace,
+		Recycle: e.Recycle,
+		Worker:  id + 1,
+		stepFn:  func() int { return int(c.steps.Add(1)) },
 	}
 	if e.OnEvent != nil {
 		we.OnEvent = func(ev Event) {
@@ -276,20 +285,28 @@ func (c *crew) workerEnv(e *Env, id int, mux *eventMux) *Env {
 // workerShare is worker id's private view of the crew's Broker: Target is
 // the worker's deterministic share, Acquire clamps to it, and waits park on
 // the crew condition (woken by siblings and forwarded budget changes).
+//
+// seen is the crew's wakeup count when the worker last looked at its
+// share or grant. WaitChange returns at once if a wakeup came after that:
+// a worker that found no pages and then waits must not miss a sibling
+// leaving in between, because no later change may ever come.
 type workerShare struct {
-	c  *crew
-	id int
+	c    *crew
+	id   int
+	seen uint64
 }
 
 func (w *workerShare) Granted() int {
 	w.c.mu.Lock()
 	defer w.c.mu.Unlock()
+	w.seen = w.c.gen
 	return w.c.granted[w.id]
 }
 
 func (w *workerShare) Target() int {
 	w.c.mu.Lock()
 	defer w.c.mu.Unlock()
+	w.seen = w.c.gen
 	return w.c.shareLocked(w.id)
 }
 
@@ -297,6 +314,7 @@ func (w *workerShare) Acquire(n int) int {
 	c := w.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	w.seen = c.gen
 	room := c.shareLocked(w.id) - c.granted[w.id]
 	if n > room {
 		n = room
@@ -311,7 +329,7 @@ func (w *workerShare) Acquire(n int) int {
 		if c.total > c.maxTot {
 			c.maxTot = c.total
 		}
-		c.cond.Broadcast()
+		c.wakeLocked()
 	}
 	return got
 }
@@ -329,12 +347,13 @@ func (w *workerShare) Yield(n int) {
 	c.granted[w.id] -= n
 	c.total -= n
 	c.parent.Yield(n)
-	c.cond.Broadcast()
+	c.wakeLocked()
 }
 
 func (w *workerShare) Pressure() int {
 	w.c.mu.Lock()
 	defer w.c.mu.Unlock()
+	w.seen = w.c.gen
 	if p := w.c.granted[w.id] - w.c.shareLocked(w.id); p > 0 {
 		return p
 	}
@@ -360,7 +379,13 @@ func (w *workerShare) WaitChangeCtx(ctx context.Context) error {
 	c := w.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.waitLocked(ctx)
+	for c.gen == w.seen {
+		if err := c.waitLocked(ctx); err != nil {
+			return err
+		}
+	}
+	w.seen = c.gen
+	return nil
 }
 
 // eventMux serializes worker adaptation events into the operation's single
@@ -378,20 +403,21 @@ func (x *eventMux) deliver(ev Event) {
 
 // lockedInput shares one Input between split workers, page at a time. The
 // first error or end-of-input latches, so sibling workers wind down with
-// whatever they already hold instead of racing a broken source.
+// whatever they already hold instead of racing a broken source. Each worker
+// passes its own dst, so a streaming input fills worker-owned pages.
 type lockedInput struct {
 	mu   sync.Mutex
 	in   Input
 	done bool
 }
 
-func (l *lockedInput) NextPage() (Page, bool, error) {
+func (l *lockedInput) NextPage(dst Page) (Page, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.done {
 		return nil, false, nil
 	}
-	pg, ok, err := l.in.NextPage()
+	pg, ok, err := l.in.NextPage(dst)
 	if err != nil || !ok {
 		l.done = true
 	}
@@ -553,6 +579,7 @@ func seekClone(we *Env, st *SortStats, c *runInfo, lo Key, hasLo bool) error {
 		c.page++
 		c.pos = 0
 	}
+	we.recycle(pg)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // ---- thread-safe test substrate (the serial harness in testenv_test.go is
@@ -603,6 +604,32 @@ func TestCrewShares(t *testing.T) {
 	if c.paused(2) {
 		t.Fatal("worker 2 should have resumed after worker 0 left")
 	}
+}
+
+// TestWorkerWaitChangeSeesEarlierWakeup pins the crew's lost-wakeup fix. A
+// split worker whose share is zero finds no pages and then waits for a
+// change; if its sibling finishes in between, that departure is the only
+// change that will ever come (nothing else touches the budget), so the
+// wait must return at once instead of parking forever.
+func TestWorkerWaitChangeSeesEarlierWakeup(t *testing.T) {
+	budget := newCtxBudget(4)
+	e := &Env{Mem: budget, Ctx: context.Background()}
+	c := newCrew(e, 2, 6) // target 4 < minNeed 6: only rank 0 is active
+	defer c.close(e)
+	w1 := &workerShare{c: c, id: 1}
+	if got := w1.Acquire(4); got != 0 {
+		t.Fatalf("paused worker acquired %d pages", got)
+	}
+	c.leave(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := w1.WaitChangeCtx(ctx); err != nil {
+		t.Fatalf("wait missed the sibling's departure: %v", err)
+	}
+	if got := w1.Acquire(4); got != 4 {
+		t.Fatalf("sole worker acquired %d pages, want 4", got)
+	}
+	w1.Yield(4)
 }
 
 // sortRecords orders records by the engine's comparator (test helper).

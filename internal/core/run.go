@@ -48,11 +48,16 @@ func (r *runInfo) remainingPages() int { return r.pages - r.page }
 // loaded returns the number of resident buffer pages.
 func (r *runInfo) loaded() int { return len(r.bufs) }
 
-// drop releases all resident buffers. The workspace record and the refill
-// position survive, so merging can resume after re-reading `page`.
-func (r *runInfo) drop() int {
+// drop releases all resident buffers, recycling them through e. The
+// workspace record and the refill position survive, so merging can resume
+// after re-reading `page`.
+func (r *runInfo) drop(e *Env) int {
 	n := len(r.bufs)
-	r.bufs = nil
+	for _, pg := range r.bufs {
+		e.recycle(pg)
+	}
+	clear(r.bufs)
+	r.bufs = r.bufs[:0]
 	return n
 }
 
@@ -70,8 +75,10 @@ func (r *runInfo) needsLoad() bool {
 
 // refill copies the next stored record into the workspace. It requires the
 // current page to be resident; returns false (and invalidates the
-// workspace) when no stored records remain resident.
-func (r *runInfo) refill() bool {
+// workspace) when no stored records remain resident. A page is recycled
+// through e as soon as refill moves past it: the workspace holds a copy of
+// the record, so nothing references the page any more.
+func (r *runInfo) refill(e *Env) bool {
 	if len(r.bufs) == 0 {
 		r.wsValid = false
 		return false
@@ -82,7 +89,7 @@ func (r *runInfo) refill() bool {
 		// belongs to the next partition. Discard the residue so the run
 		// reads as consumed (the underlying storage is freed by the
 		// coordinator, not this reader).
-		r.bufs = nil
+		r.drop(e)
 		r.page = r.pages
 		r.pos = 0
 		r.wsValid = false
@@ -92,7 +99,11 @@ func (r *runInfo) refill() bool {
 	r.wsValid = true
 	r.pos++
 	for len(r.bufs) > 0 && r.pos >= len(r.bufs[0]) {
-		r.bufs = r.bufs[1:]
+		e.recycle(r.bufs[0])
+		// Shift rather than reslice, so the next load reuses the slice.
+		n := copy(r.bufs, r.bufs[1:])
+		r.bufs[n] = nil
+		r.bufs = r.bufs[:n]
 		r.page++
 		r.pos = 0
 	}

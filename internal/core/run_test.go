@@ -2,42 +2,63 @@ package core
 
 import "testing"
 
+// recycleLog returns an Env whose Recycle hook records the first key of
+// every page handed back.
+func recycleLog() (*Env, *[]Key) {
+	var got []Key
+	return &Env{Recycle: func(pg Page) { got = append(got, pg[0].Key) }}, &got
+}
+
 func TestRunInfoCursorBasics(t *testing.T) {
+	e, recycled := recycleLog()
 	r := &runInfo{id: 1, pages: 2, tuples: 5}
 	r.bufs = []Page{{{Key: 1}, {Key: 2}, {Key: 3}}}
-	if !r.refill() || r.ws.Key != 1 {
+	if !r.refill(e) || r.ws.Key != 1 {
 		t.Fatalf("refill: %+v", r.ws)
 	}
 	if r.pos != 1 || r.page != 0 {
 		t.Fatalf("pos=%d page=%d", r.pos, r.page)
 	}
-	r.refill()
-	r.refill() // consumes the page: page advances
+	r.refill(e)
+	if len(*recycled) != 0 {
+		t.Fatalf("page recycled before its last record was taken: %v", *recycled)
+	}
+	r.refill(e) // consumes the page: page advances and is recycled
 	if r.page != 1 || r.pos != 0 || len(r.bufs) != 0 {
 		t.Fatalf("after page: page=%d pos=%d bufs=%d", r.page, r.pos, len(r.bufs))
+	}
+	if len(*recycled) != 1 || (*recycled)[0] != 1 {
+		t.Fatalf("recycled %v after the first page, want [1]", *recycled)
 	}
 	if !r.needsLoad() {
 		t.Fatal("second page must need a load")
 	}
 	r.bufs = []Page{{{Key: 4}, {Key: 5}}}
-	r.refill()
-	r.refill()
-	if r.refill() {
+	r.refill(e)
+	r.refill(e)
+	if r.refill(e) {
 		t.Fatal("exhausted run must fail refill")
 	}
 	if !r.exhausted() {
 		t.Fatal("run should be exhausted")
 	}
+	if len(*recycled) != 2 {
+		t.Fatalf("recycled %v, want both pages once", *recycled)
+	}
 }
 
 func TestRunInfoDropPreservesPosition(t *testing.T) {
+	e, recycled := recycleLog()
 	r := &runInfo{id: 1, pages: 3}
 	r.bufs = []Page{{{Key: 10}, {Key: 20}}, {{Key: 30}}}
-	r.refill() // ws=10, pos=1
+	r.refill(e) // ws=10, pos=1
 	wsKey := r.ws.Key
-	dropped := r.drop()
+	dropped := r.drop(e)
 	if dropped != 2 || r.loaded() != 0 {
 		t.Fatalf("drop freed %d", dropped)
+	}
+	if len(*recycled) != 2 {
+		t.Fatalf("drop recycled %v, want both resident pages", *recycled)
 	}
 	if !r.wsValid || r.ws.Key != wsKey {
 		t.Fatal("workspace must survive a drop")
@@ -47,7 +68,7 @@ func TestRunInfoDropPreservesPosition(t *testing.T) {
 	}
 	// Reload the same page and continue: the next record is 20.
 	r.bufs = []Page{{{Key: 10}, {Key: 20}}}
-	r.refill()
+	r.refill(e)
 	if r.ws.Key != 20 {
 		t.Fatalf("resumed at %d, want 20", r.ws.Key)
 	}

@@ -95,7 +95,9 @@ func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			if len(mem) >= e.Mem.Granted() {
 				break
 			}
-			pg, ok, err := e.In.NextPage()
+			// The run keeps its pages until it is written, so there is no
+			// page to hand back for refilling.
+			pg, ok, err := e.In.NextPage(nil)
 			if err != nil {
 				return runs, err
 			}
@@ -160,6 +162,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 		curOpen   bool
 		outTok    Token
 		inputDone bool
+		inPage    Page // last input page, already copied into the tree
 	)
 	treePages := func() int { return PagesForTuples(h.live, R) }
 	// Output block pages rotate through fill → in-flight → free: a block's
@@ -336,7 +339,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			continue
 		}
 		if !inputDone && treePages() < capPages() {
-			pg, ok, err := e.In.NextPage()
+			pg, ok, err := e.In.NextPage(inPage)
 			if err != nil {
 				return fail(err)
 			}
@@ -347,6 +350,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			st.PagesIn++
 			st.TuplesIn += len(pg)
 			h.push(pg, curTag, curOpen, curLast)
+			inPage = pg
 			e.charge(OpCompare, h.takeCompares())
 			e.charge(OpCopyTuple, int64(len(pg)))
 			continue

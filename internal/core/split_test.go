@@ -135,7 +135,7 @@ func TestSplitPropagatesInputError(t *testing.T) {
 
 type errInput struct{ after int }
 
-func (e *errInput) NextPage() (Page, bool, error) {
+func (e *errInput) NextPage(Page) (Page, bool, error) {
 	if e.after <= 0 {
 		return nil, false, errors.New("disk went away")
 	}

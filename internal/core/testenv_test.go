@@ -202,7 +202,7 @@ type sliceInput struct {
 	i     int
 }
 
-func (in *sliceInput) NextPage() (Page, bool, error) {
+func (in *sliceInput) NextPage(Page) (Page, bool, error) {
 	if in.i >= len(in.pages) {
 		return nil, false, nil
 	}

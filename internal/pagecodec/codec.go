@@ -4,11 +4,12 @@
 //
 // The codec is allocation-conscious by design. Encoding appends to a
 // caller-provided buffer (so write buffers can be pooled), and decoding is
-// zero-copy: payloads are sub-slices of the encoded buffer, so a page
-// decodes with exactly one record-slice allocation no matter how many
-// records carry payloads. Callers therefore must not mutate the encoded
-// buffer while decoded records are live, and must copy Record.Payload if
-// they retain it past the buffer's lifetime.
+// zero-copy: payloads are sub-slices of the encoded buffer, and the records
+// land in a caller-provided page frame when it is large enough, so a
+// steady-state decode allocates nothing no matter how many records carry
+// payloads. Callers therefore must not mutate the encoded buffer while
+// decoded records are live, and must copy Record.Payload if they retain it
+// past the buffer's lifetime.
 //
 // Two frame versions exist. The legacy frame (AppendPage/DecodePage) is the
 // bare body described above. The checksummed frame (AppendPageSum/
@@ -74,14 +75,16 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// DecodePage decodes one page from the front of buf.
+// DecodePage decodes one page from the front of buf into dst[:0], or into
+// a new page when cap(dst) is smaller than the page's record count; dst may
+// be nil. On error the contents of dst are unspecified.
 //
 // Payloads are zero-copy sub-slices of buf: the returned aliasBytes is the
 // total number of payload bytes aliasing buf. When aliasBytes is zero the
 // caller may recycle buf immediately; otherwise buf is owned by the decoded
 // page until every record referencing it is dead. read is the number of
 // bytes consumed from buf.
-func DecodePage(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
+func DecodePage(dst core.Page, buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
 	cnt, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, 0, 0, fmt.Errorf("pagecodec: bad record count")
@@ -90,7 +93,11 @@ func DecodePage(buf []byte) (pg core.Page, aliasBytes int, read int, err error) 
 	if cnt > uint64(len(buf)) { // each record takes at least one byte
 		return nil, 0, 0, fmt.Errorf("pagecodec: record count %d exceeds buffer", cnt)
 	}
-	pg = make(core.Page, 0, cnt)
+	if uint64(cap(dst)) >= cnt {
+		pg = dst[:0]
+	} else {
+		pg = make(core.Page, 0, cnt)
+	}
 	for i := uint64(0); i < cnt; i++ {
 		if pos+8 > len(buf) {
 			return nil, 0, 0, fmt.Errorf("pagecodec: truncated key at record %d", i)
@@ -139,9 +146,9 @@ func EncodedSizeSum(pg core.Page) int {
 // truncated frame, a structurally broken body or a CRC mismatch all return
 // an error wrapping ErrChecksum: with a checksummed frame, any decode
 // failure means the bytes on disk are not the bytes that were written.
-// Alias and read semantics match DecodePage (read includes the frame
-// overhead).
-func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
+// Destination, alias and read semantics match DecodePage (read includes
+// the frame overhead).
+func DecodePageSum(dst core.Page, buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
 	if len(buf) < sumOverhead {
 		return nil, 0, 0, fmt.Errorf("pagecodec: frame truncated to %d bytes: %w", len(buf), ErrChecksum)
 	}
@@ -150,7 +157,7 @@ func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err erro
 	}
 	want := binary.LittleEndian.Uint32(buf[1:])
 	body := buf[sumOverhead:]
-	pg, aliasBytes, read, err = DecodePage(body)
+	pg, aliasBytes, read, err = DecodePage(dst, body)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("%v: %w", err, ErrChecksum)
 	}

@@ -27,7 +27,7 @@ func TestRoundTrip(t *testing.T) {
 		buf = AppendPage(buf, pg)
 	}
 	for i, pg := range pages {
-		got, alias, read, err := DecodePage(buf[offs[i]:])
+		got, alias, read, err := DecodePage(nil, buf[offs[i]:])
 		if err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
@@ -52,7 +52,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestDecodeZeroCopyAliasing(t *testing.T) {
 	buf := AppendPage(nil, core.Page{{Key: 7, Payload: []byte("hello")}})
-	pg, alias, _, err := DecodePage(buf)
+	pg, alias, _, err := DecodePage(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,16 +67,50 @@ func TestDecodeZeroCopyAliasing(t *testing.T) {
 	}
 }
 
+func TestDecodeIntoFrame(t *testing.T) {
+	src := core.Page{{Key: 1}, {Key: 2, Payload: []byte("x")}, {Key: 3}}
+	for _, sum := range []bool{false, true} {
+		buf := AppendPage(nil, src)
+		decode := DecodePage
+		if sum {
+			buf = AppendPageSum(nil, src)
+			decode = DecodePageSum
+		}
+		frame := make(core.Page, 5, 8)
+		pg, _, _, err := decode(frame, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pg) != 3 || &pg[:1][0] != &frame[:1][0] {
+			t.Fatalf("sum=%v: a frame with room was not reused (len %d)", sum, len(pg))
+		}
+		if pg[1].Key != 2 || string(pg[1].Payload) != "x" {
+			t.Fatalf("sum=%v: decoded %+v", sum, pg)
+		}
+		small := make(core.Page, 0, 2)
+		pg, _, _, err = decode(small, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pg) != 3 || pg[2].Key != 3 {
+			t.Fatalf("sum=%v: decode past a short frame: %+v", sum, pg)
+		}
+		if small[:1][0].Key != 0 {
+			t.Fatalf("sum=%v: a frame without room was written to", sum)
+		}
+	}
+}
+
 func TestDecodeCorruptInputs(t *testing.T) {
 	good := AppendPage(nil, core.Page{{Key: 1, Payload: []byte("xyz")}})
 	for i := 0; i < len(good); i++ {
-		if _, _, _, err := DecodePage(good[:i]); err == nil {
+		if _, _, _, err := DecodePage(nil, good[:i]); err == nil {
 			t.Fatalf("truncation at %d bytes decoded without error", i)
 		}
 	}
 	// A count claiming more records than the buffer can hold must fail
 	// before allocating.
-	if _, _, _, err := DecodePage([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
+	if _, _, _, err := DecodePage(nil, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
 		t.Fatal("absurd record count decoded without error")
 	}
 }
@@ -92,7 +126,7 @@ func TestRoundTripProperty(t *testing.T) {
 			pg = append(pg, core.Record{Key: k, Payload: p})
 		}
 		buf := AppendPage(nil, pg)
-		got, _, read, err := DecodePage(buf)
+		got, _, read, err := DecodePage(nil, buf)
 		if err != nil || read != len(buf) || len(got) != len(pg) {
 			return false
 		}
@@ -126,7 +160,7 @@ func TestSumRoundTrip(t *testing.T) {
 		buf = AppendPageSum(buf, pg)
 	}
 	for i, pg := range pages {
-		got, alias, read, err := DecodePageSum(buf[offs[i]:])
+		got, alias, read, err := DecodePageSum(nil, buf[offs[i]:])
 		if err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
@@ -158,7 +192,7 @@ func TestSumDetectsEveryBitFlip(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			bad := append([]byte(nil), good...)
 			bad[byteIdx] ^= 1 << bit
-			if _, _, _, err := DecodePageSum(bad); err == nil {
+			if _, _, _, err := DecodePageSum(nil, bad); err == nil {
 				t.Fatalf("flip of byte %d bit %d decoded without error", byteIdx, bit)
 			} else if !errors.Is(err, ErrChecksum) {
 				t.Fatalf("flip of byte %d bit %d: error %v does not wrap ErrChecksum", byteIdx, bit, err)
@@ -166,7 +200,7 @@ func TestSumDetectsEveryBitFlip(t *testing.T) {
 		}
 	}
 	// The untouched frame still decodes (the flips above copied it).
-	if _, _, _, err := DecodePageSum(good); err != nil {
+	if _, _, _, err := DecodePageSum(nil, good); err != nil {
 		t.Fatalf("pristine frame: %v", err)
 	}
 }
@@ -174,7 +208,7 @@ func TestSumDetectsEveryBitFlip(t *testing.T) {
 func TestSumTruncation(t *testing.T) {
 	good := AppendPageSum(nil, core.Page{{Key: 9, Payload: []byte("xyz")}})
 	for i := 0; i < len(good); i++ {
-		if _, _, _, err := DecodePageSum(good[:i]); !errors.Is(err, ErrChecksum) {
+		if _, _, _, err := DecodePageSum(nil, good[:i]); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("truncation at %d bytes: err = %v, want ErrChecksum chain", i, err)
 		}
 	}
@@ -188,7 +222,7 @@ func TestSumTruncation(t *testing.T) {
 func TestSumFrameIsNotLegacy(t *testing.T) {
 	pg := core.Page{{Key: 5, Payload: []byte("payload")}}
 	legacy := AppendPage(nil, pg)
-	if _, _, _, err := DecodePageSum(legacy); !errors.Is(err, ErrChecksum) {
+	if _, _, _, err := DecodePageSum(nil, legacy); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("legacy frame through DecodePageSum: err = %v, want ErrChecksum chain", err)
 	}
 }

@@ -126,7 +126,7 @@ func newRelationInput(b *binding, rel, pages, pageRecords int) *relationInput {
 	}
 }
 
-func (in *relationInput) NextPage() (core.Page, bool, error) {
+func (in *relationInput) NextPage(core.Page) (core.Page, bool, error) {
 	if in.next >= in.pages {
 		return nil, false, nil
 	}

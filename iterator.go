@@ -28,7 +28,7 @@ type PageToken = core.PageToken
 // storage. The library ships four implementations: MemStore (the default),
 // FileStore (the default disk store), StripedStore (striped2 writes 1.66×
 // faster than FileStore under BenchmarkStoreMatrixDiskModel's modeled
-// device) and MmapStore (30% of FileStore's allocation and 21% less CPU
+// device) and MmapStore (22% of FileStore's allocation and 27% less CPU
 // on the perfbench payload-fluctuating workload). Build configured
 // instances with NewStoreConfig and see the package documentation for
 // choosing between them.
@@ -47,7 +47,12 @@ type PageToken = core.PageToken
 //     Append once the token completes, so the store must either finish
 //     with them by then or copy. Payload bytes are immutable and shared.
 //     Pages delivered by ReadAsync belong to the store; callers must not
-//     modify them, and they stay valid until the run is freed.
+//     modify them, and they stay valid until the run is freed. The
+//     library's disk stores decode reads into pooled frames, and the
+//     engine returns each frame through an unexported recycle method
+//     once it stops referencing the page; a store of another type (a
+//     caller's own, or one wrapping a library store) is never handed
+//     pages back.
 //   - A terminal write failure breaks the whole run: the failing token
 //     (and every later one) reports an error chain including
 //     ErrStoreFailed, and subsequent Appends and reads on the run are
@@ -191,7 +196,10 @@ type pageInput struct {
 	done bool
 }
 
-func (p *pageInput) NextPage() (core.Page, bool, error) {
+// NextPage fills dst with the next page of records when dst has room for a
+// full page (the split phase passes back the page it has just copied), and
+// a new page otherwise.
+func (p *pageInput) NextPage(dst core.Page) (core.Page, bool, error) {
 	if p.done {
 		return nil, false, nil
 	}
@@ -209,7 +217,10 @@ func (p *pageInput) NextPage() (core.Page, bool, error) {
 		s.i = j
 		return pg, true, nil
 	}
-	pg := make(core.Page, 0, p.size)
+	pg := dst[:0]
+	if cap(dst) < p.size {
+		pg = make(core.Page, 0, p.size)
+	}
 	for len(pg) < p.size {
 		r, ok, err := p.it.Next()
 		if err != nil {
@@ -230,7 +241,9 @@ func (p *pageInput) NextPage() (core.Page, bool, error) {
 // runIterator streams a stored run back as records, keeping one page of
 // read-ahead in flight: while page i is being consumed, page i+1 is already
 // on its way from the store, so iteration over an asynchronous store (e.g.
-// FileStore) overlaps decode/consume with disk I/O.
+// FileStore) overlaps decode/consume with disk I/O. Records are returned by
+// value, so a page is recycled (when the store pools frames) as soon as
+// the iterator moves past it.
 type runIterator struct {
 	store RunStore
 	id    RunID
@@ -243,6 +256,10 @@ type runIterator struct {
 
 func (r *runIterator) Next() (Record, bool, error) {
 	for r.pos >= len(r.buf) {
+		if rc, ok := r.store.(recycler); ok && r.buf != nil {
+			rc.recycle(r.buf)
+		}
+		r.buf = nil
 		if r.page >= r.pages {
 			return Record{}, false, nil
 		}

@@ -162,7 +162,8 @@ func (o Options) build() (core.SortConfig, Options, error) {
 // entry point. With an observer attached (ot non-nil) the engine's event
 // stream is routed through it, and with a tracer attached the run store is
 // wrapped so per-operation I/O is measured; the returned tracedStore is nil
-// on the untraced path.
+// on the untraced path. When the store pools its read frames, the engine
+// recycles every page it read through it.
 func newEnv(ctx context.Context, o Options, mem core.Broker, meter *counterMeter, ot *opTrace) (*core.Env, *tracedStore) {
 	start := time.Now()
 	env := &core.Env{
@@ -171,6 +172,9 @@ func newEnv(ctx context.Context, o Options, mem core.Broker, meter *counterMeter
 		Mem:   mem,
 		Meter: meter,
 		Now:   func() time.Duration { return time.Since(start) },
+	}
+	if rc, ok := o.Store.(recycler); ok {
+		env.Recycle = rc.recycle
 	}
 	var ts *tracedStore
 	if ot != nil {

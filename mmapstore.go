@@ -50,7 +50,7 @@ type MmapStore struct {
 	faults FaultHooks
 	tr     trace.Tracer
 
-	bufs sync.Pool // *[]byte encode buffers
+	bufs bufPool // encode buffers
 
 	mu      sync.Mutex
 	runs    map[RunID]*mmapRun
@@ -107,21 +107,6 @@ func newMmapStore(dir string, cfg *StoreConfig) (*MmapStore, error) {
 // Dir returns the directory holding run files.
 func (s *MmapStore) Dir() string { return s.dir }
 
-func (s *MmapStore) getBuf() []byte {
-	if v := s.bufs.Get(); v != nil {
-		return (*(v.(*[]byte)))[:0]
-	}
-	return nil
-}
-
-func (s *MmapStore) putBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	s.bufs.Put(&b)
-}
-
 // noteFault emits one retry-layer event (KindStoreRetry / KindStoreGaveUp).
 func (s *MmapStore) noteFault(kind trace.Kind, name string, attempt int, bytes int64, err error) {
 	if s.tr == nil {
@@ -175,19 +160,15 @@ func (s *MmapStore) Append(id RunID, pages []Page) (Token, error) {
 		return nil, fmt.Errorf("masort: append to freed run %d", id)
 	}
 	start := r.end
-	buf := s.getBuf()
+	buf := s.bufs.getBuf(encodedSize(pages, s.sums))[:0]
 	offs := make([]int64, 0, len(pages))
 	for _, pg := range pages {
 		offs = append(offs, start+int64(len(buf)))
-		if s.sums {
-			buf = pagecodec.AppendPageSum(buf, pg)
-		} else {
-			buf = pagecodec.AppendPage(buf, pg)
-		}
+		buf = appendPage(buf, pg, s.sums)
 	}
 	end := start + int64(len(buf))
 	retries, err := s.writeBatch(r, start, buf)
-	s.putBuf(buf)
+	s.bufs.putBuf(buf)
 	if err != nil {
 		r.werr = err
 		_ = r.f.Truncate(start)
@@ -338,12 +319,14 @@ func (s *MmapStore) decodeExtent(data []byte, off, end int64) (Page, error) {
 		n   int
 		err error
 	)
+	frame := getFrame()
 	if s.sums {
-		pg, _, n, err = pagecodec.DecodePageSum(ext)
+		pg, _, n, err = pagecodec.DecodePageSum(frame, ext)
 	} else {
-		pg, _, n, err = pagecodec.DecodePage(ext)
+		pg, _, n, err = pagecodec.DecodePage(frame, ext)
 	}
 	if err != nil || n != len(ext) {
+		putFrame(frame)
 		if err == nil {
 			err = fmt.Errorf("page extent is %d bytes, decoded %d", len(ext), n)
 		}

@@ -49,11 +49,12 @@ type Result struct {
 // Iterator streams the output records in sorted order, keeping one page of
 // read-ahead in flight against the store. A closed result yields ErrFreed.
 //
-// Records are served from store page buffers (zero-copy for FileStore):
-// they stay valid as long as they are referenced, but callers retaining
-// Record.Payload across many records should copy it — each retained
-// payload pins its whole page buffer (see README.md, "Buffer ownership and
-// zero-copy").
+// Records are returned by value, so they stay valid after the iterator
+// moves on, even though a FileStore, MmapStore or StripedStore reuses the
+// page frame they were read from. Their payloads alias store read buffers
+// (zero-copy): callers retaining Record.Payload across many records should
+// copy it — each retained payload pins its whole page buffer (see
+// README.md, "Buffer ownership and zero-copy").
 func (r *Result) Iterator() Iterator {
 	if r.freed {
 		return FuncIterator(func() (Record, bool, error) {
