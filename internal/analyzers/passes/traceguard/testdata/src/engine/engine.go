@@ -82,7 +82,7 @@ type env struct {
 	OnEvent func(trace.Event)
 }
 
-// deliver is the guarded hook invocation (core's Env.deliver).
+// deliver is the guarded hook invocation (the shape of core's Env.emit).
 func (e *env) deliver(ev trace.Event) {
 	defer func() {
 		_ = recover()

@@ -91,7 +91,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
 			return
 		}
 		pass.Reportf(call.Pos(),
-			"observer hook invoked without a deferred recover; a panicking observer must be counted, not fatal (see Env.deliver)")
+			"observer hook invoked without a deferred recover; a panicking observer must be counted, not fatal (see the core emit helper, Env.emit)")
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"time"
+
+	"github.com/memadapt/masort/trace"
 )
 
 // RunID identifies a sorted run in a RunStore.
@@ -132,12 +134,12 @@ type Env struct {
 	// changes arrive from concurrent goroutines (the real engine) must
 	// leave this nil; adaptation then happens at page boundaries.
 	SetReclaim func(fn func(need int) int)
-	// OnEvent optionally receives adaptation events (splits, combines,
-	// suspensions, phase changes) as they happen — the observable history
-	// of how the operator adapted to memory fluctuation.
-	OnEvent func(Event)
-	// Trace optionally receives debug events.
-	Trace func(format string, args ...any)
+	// Tracer optionally receives the engine's events (phases, runs, merge
+	// steps, splits, combines, suspensions) as they happen — the observable
+	// history of how the operator adapted to memory fluctuation. The engine
+	// leaves Time and Op zero for the tracer to stamp, and calls it from
+	// parallel workers concurrently, so it must be safe for concurrent use.
+	Tracer trace.Tracer
 	// Recycle, when set, takes back a page returned by Store.ReadAsync
 	// once the engine no longer references it, so the store can decode a
 	// later read into the same frame. Each page read is recycled at most
@@ -164,8 +166,6 @@ type Env struct {
 	// instead, so (Worker, Step) pairs stay unique within the operation.
 	stepSeq int
 	stepFn  func() int
-	// eventPanics counts OnEvent callbacks that panicked and were recovered.
-	eventPanics int
 	// onSplitPage, when set, observes replacement selection at every
 	// page boundary of the split: the record slots its mini-run buffers pin
 	// and the records they hold. Tests use it to check the residency bound.
@@ -181,13 +181,6 @@ func (e *Env) nextStep() int {
 	return e.stepSeq
 }
 
-// EventPanics reports how many OnEvent callbacks panicked and were
-// recovered during the operation. It is copied into the final stats so
-// callers can tell their observer misbehaved.
-func (e *Env) EventPanics() int {
-	return e.eventPanics
-}
-
 func (e *Env) charge(op Op, n int64) {
 	if n > 0 && e.Meter != nil {
 		e.Meter.Charge(op, n)
@@ -198,7 +191,48 @@ func (e *Env) setPhase(p string) {
 	if e.SetPhase != nil {
 		e.SetPhase(p)
 	}
-	e.emit(EvPhase, 0, p)
+	e.emit(nil, trace.KindPhase, 0, 0, p)
+}
+
+// emit is the engine's one observation point. It counts the event into st
+// (Runs, MergeSteps, Splits, Combines, Suspensions — so Stats and any
+// tracer's tally agree by construction) and, when a tracer is attached,
+// delivers it behind a recover guard: an observer that panics must not
+// corrupt the operation it is watching. Pages is the run length for
+// KindRun, the fan-in for steps, splits, combines and suspensions, and 0
+// otherwise; step is the merge-step id of KindStepBegin/KindStepEnd and of
+// the sub-step a KindCombineEnd absorbed; name is the phase of KindPhase
+// (whose st may be nil).
+func (e *Env) emit(st *SortStats, kind trace.Kind, pages, step int, name string) {
+	switch kind {
+	case trace.KindRun:
+		st.Runs++
+	case trace.KindStepEnd:
+		st.MergeSteps++
+	case trace.KindSplit:
+		st.Splits++
+	case trace.KindCombineEnd:
+		st.Combines++
+	case trace.KindSuspend:
+		st.Suspensions++
+	}
+	if e.Tracer == nil {
+		return
+	}
+	var target, granted int
+	if e.Mem != nil {
+		target, granted = e.Mem.Target(), e.Mem.Granted()
+	}
+	defer func() { _ = recover() }()
+	e.Tracer.Emit(trace.Event{
+		Kind:    kind,
+		Name:    name,
+		Step:    step,
+		Pages:   pages,
+		Target:  target,
+		Granted: granted,
+		Worker:  e.Worker,
+	})
 }
 
 // recycle hands a page read from the store back through the Recycle hook.
@@ -219,12 +253,6 @@ func (e *Env) now() time.Duration {
 		return e.Now()
 	}
 	return 0
-}
-
-func (e *Env) trace(format string, args ...any) {
-	if e.Trace != nil {
-		e.Trace(format, args...)
-	}
 }
 
 // ctxErr reports the Env's cancellation state.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"github.com/memadapt/masort/trace"
 )
 
 // JoinResult is the outcome of a memory-adaptive sort-merge join: the run
@@ -66,7 +68,6 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 	st.MergeDuration = e.now() - tm
 	st.Response = e.now() - t0
 	st.ResultTuples = out.tuples
-	st.EventPanics = e.eventPanics
 	e.setPhase("idle")
 	if g := e.Mem.Granted(); g > 0 {
 		e.Mem.Yield(g)
@@ -259,8 +260,7 @@ func (j *joinEngine) jointStep() (bool, error) {
 					return false, err
 				}
 				m.dropStepBufs(st)
-				m.st.Splits++
-				m.e.emit(EvSplitStep, len(st.inputs), "")
+				m.e.emit(m.st, trace.KindSplit, len(st.inputs), 0, "")
 				return false, nil // caller forms a preliminary step
 			}
 		} else {
@@ -307,8 +307,7 @@ func (j *joinEngine) jointStep() (bool, error) {
 					return false, err
 				}
 			}
-			m.st.MergeSteps++
-			m.e.emitStep(EvStepDone, len(st.inputs), st.id, "")
+			m.e.emit(m.st, trace.KindStepEnd, len(st.inputs), st.id, "")
 			return true, nil
 		case needAdapt:
 			if err := m.ensureProgress(st); err != nil {

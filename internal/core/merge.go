@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"github.com/memadapt/masort/trace"
 )
 
 // mergeStep is one node of the merge plan. Under dynamic splitting the plan
@@ -247,15 +249,14 @@ func (m *mergeEngine) adaptStatic(st *mergeStep) error {
 			r.drop(m.e)
 		}
 		m.e.Mem.Yield(m.e.Mem.Granted())
-		m.st.Suspensions++
-		m.e.emit(EvSuspend, need, "")
+		m.e.emit(m.st, trace.KindSuspend, need, 0, "")
 		// Cancellation interrupts the suspension wait: a canceled sort must
 		// not sleep until the budget happens to be restored.
 		if err := m.e.waitTarget(need); err != nil {
 			return err
 		}
 		m.e.Mem.Acquire(need - m.e.Mem.Granted())
-		m.e.emit(EvResume, need, "")
+		m.e.emit(m.st, trace.KindResume, need, 0, "")
 		// Resume: refetch all input buffers together (one elevator sweep).
 		return m.batchLoad(st)
 	case Paging:
@@ -409,8 +410,7 @@ func (m *mergeEngine) adaptDynamic() error {
 			}
 			m.dropStepBufs(st)
 			m.active = prelim
-			m.st.Combines-- // the combine did not happen after all
-			m.e.emit(EvCombineAbort, 0, "")
+			m.e.emit(m.st, trace.KindCombineAbort, 0, 0, "")
 			return m.adaptDynamic()
 		}
 		return nil
@@ -429,8 +429,7 @@ func (m *mergeEngine) adaptDynamic() error {
 			m.dropStepBufs(st)
 			st.parent.drainOf = st
 			m.active = st.parent
-			m.st.Combines++
-			m.e.emit(EvCombineStart, combinedNeed, "")
+			m.e.emit(m.st, trace.KindCombineBegin, combinedNeed, 0, "")
 			m.rebalance(st.parent)
 		}
 	}
@@ -461,8 +460,7 @@ func (m *mergeEngine) splitActive(target int) error {
 		out.producer = sub
 		st.inputs = append([]*runInfo{out}, rest...)
 		st = sub
-		m.st.Splits++
-		m.e.emit(EvSplitStep, len(chosen), "")
+		m.e.emit(m.st, trace.KindSplit, len(chosen), 0, "")
 		m.startStep(sub)
 	}
 	m.invalidateTree() // run sets changed on every step along the chain
@@ -491,7 +489,9 @@ func (m *mergeEngine) absorb(st *mergeStep) error {
 	}
 	st.inputs = append(inputs, prelim.inputs...)
 	m.invalidateTree() // the absorbed runs must enter the tree
-	m.e.emit(EvCombineDone, len(st.inputs), "")
+	// The absorbed sub-step ends here, not at a KindStepEnd: the event
+	// carries its id so observers can close its span.
+	m.e.emit(m.st, trace.KindCombineEnd, len(st.inputs), prelim.id, "")
 	return m.freeRun(drained)
 }
 
@@ -762,8 +762,7 @@ func (m *mergeEngine) finishStep(st *mergeStep) error {
 	}
 	st.out.producer = nil
 	m.invalidateTree()
-	m.st.MergeSteps++
-	m.e.emitStep(EvStepDone, len(st.inputs), st.id, "")
+	m.e.emit(m.st, trace.KindStepEnd, len(st.inputs), st.id, "")
 	if g := m.e.Mem.Granted(); g > m.st.MaxGranted {
 		m.st.MaxGranted = g
 	}
@@ -772,10 +771,10 @@ func (m *mergeEngine) finishStep(st *mergeStep) error {
 
 // startStep assigns the step its operation-wide id and announces it. The
 // fan-in reported here is the step's initial one; under dynamic splitting
-// it may shrink before EvStepDone reports the final fan-in.
+// it may shrink before KindStepEnd reports the final fan-in.
 func (m *mergeEngine) startStep(st *mergeStep) {
 	st.id = m.e.nextStep()
-	m.e.emitStep(EvStepStart, len(st.inputs), st.id, "")
+	m.e.emit(m.st, trace.KindStepBegin, len(st.inputs), st.id, "")
 }
 
 func (m *mergeEngine) freeRun(r *runInfo) error {
@@ -814,12 +813,11 @@ func (m *mergeEngine) maybeQuiesce(st *mergeStep) error {
 	}
 	m.invalidateTree()
 	m.e.yieldAll()
-	m.st.Suspensions++
-	m.e.emit(EvSuspend, st.need(), "")
+	m.e.emit(m.st, trace.KindSuspend, st.need(), 0, "")
 	if err := m.e.WaitResume(); err != nil {
 		return err
 	}
-	m.e.emit(EvResume, st.need(), "")
+	m.e.emit(m.st, trace.KindResume, st.need(), 0, "")
 	return nil
 }
 

@@ -29,11 +29,14 @@ package core
 //     instead: disjoint run groups merge in parallel, then one serial
 //     final merge.
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/memadapt/masort/trace"
 )
 
 // effectiveWorkers reports how many goroutines the operation may use: the
@@ -209,18 +212,17 @@ func (c *crew) waitActive(ctx context.Context, id int) error {
 // shrink can land before a worker produces its first page — before
 // mergeEngine.maybeQuiesce ever runs — and without this gate that park
 // would be silent. It is reported exactly like a mid-merge pause
-// (suspension counted, EvSuspend/EvResume emitted), so suspension stats
+// (suspension counted, KindSuspend/KindResume emitted), so suspension stats
 // and event-driven budget restores observe every quiesced worker.
 func (c *crew) pauseAtStart(we *Env, st *SortStats, id int) error {
 	if !c.paused(id) {
 		return nil
 	}
-	st.Suspensions++
-	we.emit(EvSuspend, c.minNeed, "")
+	we.emit(st, trace.KindSuspend, c.minNeed, 0, "")
 	if err := c.waitActive(we.Ctx, id); err != nil {
 		return err
 	}
-	we.emit(EvResume, c.minNeed, "")
+	we.emit(st, trace.KindResume, c.minNeed, 0, "")
 	return nil
 }
 
@@ -254,11 +256,10 @@ func (c *crew) maxGranted() int {
 }
 
 // workerEnv derives worker id's execution environment: shared input, store,
-// meter and context; a private broker view; serialized event delivery with
-// per-worker phase events suppressed (the coordinator owns the operation's
-// phase) and the operation-wide step counter shared so (Worker, Step) pairs
-// stay unique.
-func (c *crew) workerEnv(e *Env, id int, mux *eventMux) *Env {
+// meter, tracer and context; a private broker view with its pause hooks; and
+// the operation-wide step counter shared so (Worker, Step) pairs stay
+// unique.
+func (c *crew) workerEnv(e *Env, id int) *Env {
 	we := &Env{
 		In:      e.In,
 		Store:   e.Store,
@@ -266,20 +267,40 @@ func (c *crew) workerEnv(e *Env, id int, mux *eventMux) *Env {
 		Meter:   e.Meter,
 		Ctx:     e.Ctx,
 		Now:     e.Now,
-		Trace:   e.Trace,
+		Tracer:  e.Tracer,
 		Recycle: e.Recycle,
 		Worker:  id + 1,
 		stepFn:  func() int { return int(c.steps.Add(1)) },
 	}
-	if e.OnEvent != nil {
-		we.OnEvent = func(ev Event) {
-			if ev.Kind == EvPhase {
-				return
-			}
-			mux.deliver(ev)
-		}
-	}
+	we.ShouldPause = func() bool { return c.paused(id) }
+	we.WaitResume = func() error { return c.waitActive(we.Ctx, id) }
 	return we
+}
+
+// run executes body on one goroutine per crew member, each against its own
+// Env view and stats, and waits for all of them. A worker leaves the crew
+// as soon as its body returns, so its grant passes to the survivors. The
+// workers' counters and the crew's grant high-water mark fold into st; the
+// result is the first error in worker-id order.
+func (c *crew) run(e *Env, st *SortStats, body func(we *Env, wst *SortStats, id int) error) error {
+	errs := make([]error, len(c.live))
+	wsts := make([]SortStats, len(c.live))
+	var wg sync.WaitGroup
+	for id := range c.live {
+		wg.Add(1)
+		//masortlint:allow simdeterminism -- real-engine worker crew, unreachable from the simulator (sim never sets cfg.Workers > 1); callers collect worker outputs in worker-id order, independent of scheduling
+		go func() {
+			defer wg.Done()
+			errs[id] = body(c.workerEnv(e, id), &wsts[id], id)
+			c.leave(id)
+		}()
+	}
+	wg.Wait()
+	for i := range wsts {
+		addWorkerStats(st, &wsts[i])
+	}
+	st.MaxGranted = max(st.MaxGranted, c.maxGranted())
+	return cmp.Or(errs...)
 }
 
 // workerShare is worker id's private view of the crew's Broker: Target is
@@ -388,19 +409,6 @@ func (w *workerShare) WaitChangeCtx(ctx context.Context) error {
 	return nil
 }
 
-// eventMux serializes worker adaptation events into the operation's single
-// OnEvent callback, preserving the documented sequential-delivery contract.
-type eventMux struct {
-	mu sync.Mutex
-	fn func(Event)
-}
-
-func (x *eventMux) deliver(ev Event) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.fn(ev)
-}
-
 // lockedInput shares one Input between split workers, page at a time. The
 // first error or end-of-input latches, so sibling workers wind down with
 // whatever they already hold instead of racing a broken source. Each worker
@@ -432,16 +440,14 @@ func (l *lockedInput) stop() {
 	l.mu.Unlock()
 }
 
-// addSplitStats folds one split worker's counters into the operation stats.
-func addSplitStats(st, w *SortStats) {
+// addWorkerStats folds one worker's counters into the operation stats.
+// Split workers fill only the split-phase fields and merge workers only the
+// merge-phase ones, so one sum serves both.
+func addWorkerStats(st, w *SortStats) {
 	st.TuplesIn += w.TuplesIn
 	st.PagesIn += w.PagesIn
 	st.Runs += w.Runs
 	st.RunPagesWritten += w.RunPagesWritten
-}
-
-// addMergeStats folds one merge worker's counters into the operation stats.
-func addMergeStats(st, w *SortStats) {
 	st.MergeSteps += w.MergeSteps
 	st.MergePagesRead += w.MergePagesRead
 	st.MergePagesWritten += w.MergePagesWritten
@@ -474,53 +480,26 @@ func parallelSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 	c := newCrew(e, w, minNeed)
 	defer c.close(e)
 	in := &lockedInput{in: e.In}
-	mux := &eventMux{fn: e.OnEvent}
-	type wres struct {
-		runs   []*runInfo
-		err    error
-		st     SortStats
-		panics int
-	}
-	results := make([]wres, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		//masortlint:allow simdeterminism -- real-engine parallel split, unreachable from the simulator (sim never sets cfg.Workers > 1); workers produce independent runs collected in worker-id order
-		go func(id int) {
-			defer wg.Done()
-			we := c.workerEnv(e, id, mux)
-			we.In = in
-			r := &results[id]
-			var wst SortStats
-			if cfg.Method == Quick {
-				r.runs, r.err = quickSplit(we, cfg, &wst)
-			} else {
-				r.runs, r.err = replSplit(we, cfg, &wst)
-			}
-			if r.err != nil {
-				in.stop()
-			}
-			r.st = wst
-			r.panics = we.eventPanics
-			c.leave(id)
-		}(i)
-	}
-	wg.Wait()
-	var runs []*runInfo
-	var firstErr error
-	for i := range results {
-		r := &results[i]
-		runs = append(runs, r.runs...)
-		if firstErr == nil && r.err != nil {
-			firstErr = r.err
+	outs := make([][]*runInfo, w)
+	err := c.run(e, st, func(we *Env, wst *SortStats, id int) (err error) {
+		we.In = in
+		if cfg.Method == Quick {
+			outs[id], err = quickSplit(we, cfg, wst)
+		} else {
+			outs[id], err = replSplit(we, cfg, wst)
 		}
-		addSplitStats(st, &r.st)
-		e.eventPanics += r.panics
+		if err != nil {
+			in.stop()
+		}
+		return err
+	})
+	// Runs in worker-id order; a failed worker's finished runs are returned
+	// too, so the caller frees them.
+	var runs []*runInfo
+	for _, o := range outs {
+		runs = append(runs, o...)
 	}
-	if mt := c.maxGranted(); mt > st.MaxGranted {
-		st.MaxGranted = mt
-	}
-	return runs, firstErr
+	return runs, err
 }
 
 // cloneRange builds a shared key-bounded view of r for one merge partition:
@@ -683,59 +662,21 @@ func parallelMerge(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo) ([]*r
 
 	c := newCrew(e, w, cfg.MinPages)
 	defer c.close(e)
-	mux := &eventMux{fn: e.OnEvent}
-	type wres struct {
-		out    *runInfo
-		err    error
-		st     SortStats
-		panics int
-	}
-	results := make([]wres, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		//masortlint:allow simdeterminism -- real-engine parallel merge, unreachable from the simulator (sim never sets cfg.Workers > 1); key-partitioned sub-merges recombine in worker-id order, independent of scheduling
-		go func(id int) {
-			defer wg.Done()
-			we := c.workerEnv(e, id, mux)
-			we.ShouldPause = func() bool { return c.paused(id) }
-			we.WaitResume = func() error { return c.waitActive(we.Ctx, id) }
-			r := &results[id]
-			var wst SortStats
-			if err := c.pauseAtStart(we, &wst, id); err != nil {
-				r.err = err
-			} else {
-				r.out, r.err = workerMerge(we, cfg, &wst, runs, cuts, id)
-			}
-			r.st = wst
-			r.panics = we.eventPanics
-			c.leave(id)
-		}(i)
-	}
-	wg.Wait()
-	var firstErr error
-	var segs []*runInfo
-	for i := range results {
-		r := &results[i]
-		if firstErr == nil && r.err != nil {
-			firstErr = r.err
+	outs := make([]*runInfo, w)
+	err := c.run(e, st, func(we *Env, wst *SortStats, id int) (err error) {
+		if err = c.pauseAtStart(we, wst, id); err == nil {
+			outs[id], err = workerMerge(we, cfg, wst, runs, cuts, id)
 		}
-		addMergeStats(st, &r.st)
-		e.eventPanics += r.panics
-		if r.err == nil && r.out != nil {
-			segs = append(segs, r.out)
-		}
-	}
-	if mt := c.maxGranted(); mt > st.MaxGranted {
-		st.MaxGranted = mt
-	}
+		return err
+	})
+	segs := slices.DeleteFunc(outs, func(r *runInfo) bool { return r == nil })
 	// The workers only borrowed the input runs through shared clones; the
 	// coordinator owns and frees them — exactly once, after every worker is
 	// done (success or abort).
 	freeRuns(e, runs)
-	if firstErr != nil {
+	if err != nil {
 		freeRuns(e, segs)
-		return nil, true, firstErr
+		return nil, true, err
 	}
 	return segs, true, nil
 }
@@ -752,61 +693,20 @@ func parallelTreeMerge(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo) (
 		groups[i%w] = append(groups[i%w], r)
 	}
 	c := newCrew(e, w, cfg.MinPages)
-	mux := &eventMux{fn: e.OnEvent}
-	type wres struct {
-		out    *runInfo
-		err    error
-		st     SortStats
-		panics int
-	}
-	results := make([]wres, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		//masortlint:allow simdeterminism -- real-engine parallel merge tree, unreachable from the simulator (sim never sets cfg.Workers > 1); groups are disjoint and the final merge is serial
-		go func(id int) {
-			defer wg.Done()
-			we := c.workerEnv(e, id, mux)
-			we.ShouldPause = func() bool { return c.paused(id) }
-			we.WaitResume = func() error { return c.waitActive(we.Ctx, id) }
-			r := &results[id]
-			var wst SortStats
-			if err := c.pauseAtStart(we, &wst, id); err != nil {
-				r.err = err
-				r.st = wst
-				r.panics = we.eventPanics
-				c.leave(id)
-				return
-			}
-			m := &mergeEngine{e: we, cfg: cfg, st: &wst}
-			r.out, r.err = m.mergeRuns(groups[id])
-			r.st = wst
-			r.panics = we.eventPanics
-			c.leave(id)
-		}(i)
-	}
-	wg.Wait()
+	inter := make([]*runInfo, w)
+	err := c.run(e, st, func(we *Env, wst *SortStats, id int) (err error) {
+		if err = c.pauseAtStart(we, wst, id); err == nil {
+			m := &mergeEngine{e: we, cfg: cfg, st: wst}
+			inter[id], err = m.mergeRuns(groups[id])
+		}
+		return err
+	})
 	c.close(e)
-	var firstErr error
-	var inter []*runInfo
-	for i := range results {
-		r := &results[i]
-		if firstErr == nil && r.err != nil {
-			firstErr = r.err
-		}
-		addMergeStats(st, &r.st)
-		e.eventPanics += r.panics
-		if r.err == nil && r.out != nil {
-			inter = append(inter, r.out)
-		}
-	}
-	if mt := c.maxGranted(); mt > st.MaxGranted {
-		st.MaxGranted = mt
-	}
-	if firstErr != nil {
+	inter = slices.DeleteFunc(inter, func(r *runInfo) bool { return r == nil })
+	if err != nil {
 		freeRuns(e, inter)
 		e.yieldAll()
-		return nil, firstErr
+		return nil, err
 	}
 	m := &mergeEngine{e: e, cfg: cfg, st: st}
 	return m.mergeRuns(inter)

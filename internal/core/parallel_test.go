@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/memadapt/masort/trace"
 )
 
 // ---- thread-safe test substrate (the serial harness in testenv_test.go is
@@ -308,13 +310,13 @@ func TestParallelShrinkPropagatesToAllWorkers(t *testing.T) {
 		Store: store,
 		Mem:   budget,
 		Ctx:   context.Background(),
-		OnEvent: func(ev Event) {
-			if ev.Kind == EvPhase && ev.Phase == "merge" {
+		Tracer: tracerFunc(func(ev trace.Event) {
+			if ev.Kind == trace.KindPhase && ev.Name == "merge" {
 				obsMu.Lock()
 				merging = true
 				obsMu.Unlock()
 			}
-		},
+		}),
 	}
 	store.onAppend = func(id RunID, nth, pages int) {
 		obsMu.Lock()
@@ -395,13 +397,13 @@ func TestParallelSuspendResumeMidMerge(t *testing.T) {
 				Store: store,
 				Mem:   budget,
 				Ctx:   context.Background(),
-				OnEvent: func(ev Event) {
+				Tracer: tracerFunc(func(ev trace.Event) {
 					mu.Lock()
 					defer mu.Unlock()
 					switch {
-					case ev.Kind == EvPhase && ev.Phase == "merge":
+					case ev.Kind == trace.KindPhase && ev.Name == "merge":
 						merging = true
-					case ev.Kind == EvSuspend && shrunk && !restored:
+					case ev.Kind == trace.KindSuspend && shrunk && !restored:
 						// Once two workers have parked (the budget sustains
 						// at most two of the four), give the memory back so
 						// the merge resumes. Everyone else is either still
@@ -412,7 +414,7 @@ func TestParallelSuspendResumeMidMerge(t *testing.T) {
 							budget.Resize(total)
 						}
 					}
-				},
+				}),
 			}
 			store.onAppend = func(id RunID, nth, pages int) {
 				mu.Lock()
@@ -467,13 +469,13 @@ func TestParallelCancelMidMerge(t *testing.T) {
 		Store: store,
 		Mem:   budget,
 		Ctx:   ctx,
-		OnEvent: func(ev Event) {
-			if ev.Kind == EvPhase && ev.Phase == "merge" {
+		Tracer: tracerFunc(func(ev trace.Event) {
+			if ev.Kind == trace.KindPhase && ev.Name == "merge" {
 				mu.Lock()
 				merging = true
 				mu.Unlock()
 			}
-		},
+		}),
 	}
 	store.onAppend = func(id RunID, nth, pages int) {
 		mu.Lock()

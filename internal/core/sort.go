@@ -75,7 +75,6 @@ func MergeExisting(e *Env, cfg SortConfig, ids []RunID) (*SortResult, error) {
 	}
 	st.MergeDuration = e.now() - t0
 	st.Response = st.MergeDuration
-	st.EventPanics = e.eventPanics
 	e.setPhase("idle")
 	if g := e.Mem.Granted(); g > 0 {
 		e.Mem.Yield(g)
@@ -174,7 +173,6 @@ func ExternalSort(e *Env, cfg SortConfig) (*SortResult, error) {
 	}
 	st.MergeDuration = e.now() - tm
 	st.Response = e.now() - t0
-	st.EventPanics = e.eventPanics
 	e.setPhase("idle")
 
 	// Hand every page back before completing.

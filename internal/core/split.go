@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/bits"
 	"sort"
+
+	"github.com/memadapt/masort/trace"
 )
 
 // splitPhase runs the configured in-memory sorting method over e.In and
@@ -130,8 +132,7 @@ func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			return runs, err
 		}
 		runs = append(runs, ri)
-		st.Runs++
-		e.emit(EvRunDone, ri.pages, "")
+		e.emit(st, trace.KindRun, ri.pages, 0, "")
 		st.RunPagesWritten += ri.pages
 		if g := e.Mem.Granted(); g > st.MaxGranted {
 			st.MaxGranted = g
@@ -223,8 +224,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 		}
 		if cur != nil {
 			runs = append(runs, cur)
-			st.Runs++
-			e.emit(EvRunDone, cur.pages, "")
+			e.emit(st, trace.KindRun, cur.pages, 0, "")
 			cur = nil
 		}
 		curTag++
@@ -376,8 +376,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 	}
 	if cur != nil {
 		runs = append(runs, cur)
-		st.Runs++
-		e.emit(EvRunDone, cur.pages, "")
+		e.emit(st, trace.KindRun, cur.pages, 0, "")
 	}
 	return runs, nil
 }

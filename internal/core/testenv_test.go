@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/memadapt/masort/internal/randx"
+	"github.com/memadapt/masort/trace"
 )
 
 // ---- instant in-memory store ----
@@ -287,3 +288,8 @@ func checkPermutation(t *testing.T, in, out []Record) {
 		}
 	}
 }
+
+// tracerFunc adapts a function to the trace.Tracer interface.
+type tracerFunc func(trace.Event)
+
+func (f tracerFunc) Emit(ev trace.Event) { f(ev) }

@@ -68,24 +68,6 @@ type PageToken = core.PageToken
 //     wrong data, panic or deadlock).
 type RunStore = core.RunStore
 
-// Event is an adaptation event (see Options.OnEvent).
-type Event = core.Event
-
-// EventKind classifies adaptation events.
-type EventKind = core.EventKind
-
-// Adaptation event kinds.
-const (
-	EvSplitStep    = core.EvSplitStep
-	EvCombineStart = core.EvCombineStart
-	EvCombineDone  = core.EvCombineDone
-	EvCombineAbort = core.EvCombineAbort
-	EvSuspend      = core.EvSuspend
-	EvResume       = core.EvResume
-	EvStepDone     = core.EvStepDone
-	EvPhase        = core.EvPhase
-)
-
 // Less reports the record ordering used by all sorts and joins.
 func Less(a, b Record) bool { return core.Less(a, b) }
 

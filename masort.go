@@ -91,8 +91,8 @@ type Options struct {
 	// OnEvent, if set, receives adaptation events (phase changes, step
 	// splits, combines, suspensions) as they happen — the observable
 	// history of how the operator reacted to budget changes. The callback
-	// runs on the sorting goroutine and must be fast. See WithEvents for
-	// the concurrency contract.
+	// runs inside the sort and must be fast. See WithEvents for the kinds
+	// delivered and the concurrency contract.
 	OnEvent func(Event)
 
 	// Tracer, if set, receives the operator's full observability stream
@@ -179,7 +179,7 @@ func newEnv(ctx context.Context, o Options, mem core.Broker, meter *counterMeter
 	var ts *tracedStore
 	if ot != nil {
 		ot.envStart = start
-		env.OnEvent = ot.onEvent
+		env.Tracer = ot // only when non-nil: a typed-nil *opTrace would defeat the engine's nil check
 		if ot.tr != nil {
 			ts = &tracedStore{RunStore: o.Store, ot: ot}
 			env.Store = ts

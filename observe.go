@@ -1,10 +1,10 @@
 package masort
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/memadapt/masort/internal/core"
 	"github.com/memadapt/masort/internal/pagecodec"
 	"github.com/memadapt/masort/trace"
 )
@@ -12,6 +12,50 @@ import (
 // Tracer receives engine trace events; see the trace package for the event
 // vocabulary and the stdlib-only implementations (Metrics, Chrome, Ring).
 type Tracer = trace.Tracer
+
+// EventKind classifies adaptation events. It is the trace package's Kind,
+// so kinds print as their snake_case trace names ("split", "step_end").
+type EventKind = trace.Kind
+
+// Adaptation event kinds, as trace kinds. A WithEvents callback also
+// receives trace.KindRun and trace.KindStepBegin.
+const (
+	EvSplitStep    = trace.KindSplit
+	EvCombineStart = trace.KindCombineBegin
+	EvCombineDone  = trace.KindCombineEnd
+	EvCombineAbort = trace.KindCombineAbort
+	EvSuspend      = trace.KindSuspend
+	EvResume       = trace.KindResume
+	EvStepDone     = trace.KindStepEnd
+	EvPhase        = trace.KindPhase
+)
+
+// Event is one adaptation event, as delivered to a WithEvents callback.
+type Event struct {
+	Kind EventKind
+	// At is the time since the operator's engine started.
+	At time.Duration
+	// Target and Granted are the memory state when the event fired.
+	Target  int
+	Granted int
+	// Detail depends on the kind: fan-in of the new step for EvSplitStep,
+	// the combined fan-in for EvCombineStart/EvCombineDone, the step's
+	// fan-in for EvSuspend/EvResume/EvStepDone and trace.KindStepBegin, the
+	// run's length in pages for trace.KindRun, and 0 otherwise.
+	Detail int
+	// Step numbers the merge step the event belongs to, 1-based within the
+	// operation: the step begun or done, or for EvCombineDone the sub-step
+	// the combine absorbed (its span ends there, not at an EvStepDone); 0
+	// for other kinds. Steps of one operation interleave under dynamic
+	// splitting, so matching begin/done pairs need the id.
+	Step int
+	// Worker identifies the parallel worker that emitted the event,
+	// 1-based; 0 for events from the operator's own goroutine (all events
+	// of a serial operation).
+	Worker int
+	// Phase carries the phase name ("split", "merge", "idle") for EvPhase.
+	Phase string
+}
 
 // opSeq numbers operators process-wide so trace events from concurrent
 // operators (a pooled workload) can be told apart.
@@ -35,13 +79,14 @@ func emitSafe(t trace.Tracer, ev trace.Event, panics *atomic.Int64) {
 
 // opTrace is one operator's observability context: its process-unique trace
 // id, the composed tracer (user tracer plus the optional WithEventLog ring),
-// the legacy WithEvents callback, and the panic counter feeding
-// Stats.EventPanics. A nil *opTrace is valid and inert — the untraced path
-// costs one nil check per call site.
+// the WithEvents callback, and the panic counter feeding Stats.EventPanics.
+// It is the core engine's Tracer. A nil *opTrace is valid and inert — the
+// untraced path costs one nil check per call site.
 type opTrace struct {
-	tr   trace.Tracer
-	ring *trace.Ring
-	user func(Event)
+	tr     trace.Tracer
+	ring   *trace.Ring
+	user   func(Event)
+	userMu sync.Mutex // serializes user: parallel workers emit concurrently
 
 	id       uint64
 	name     string
@@ -90,62 +135,36 @@ func (t *opTrace) end(err error) {
 	emitSafe(t.tr, ev, &t.panics)
 }
 
-// onEvent is installed as the core Env's event callback. The engine invokes
-// it sequentially on the operator's goroutine (see WithEvents); each sink is
-// recovered independently, so a panicking user callback still lets the
-// tracer see the event and vice versa.
-func (t *opTrace) onEvent(ev core.Event) {
-	if t.user != nil {
-		t.callUser(ev)
+// Emit receives the core engine's events — the ten kinds from KindPhase to
+// KindResume — from the operator's goroutine or, under WithWorkers,
+// concurrently from its workers. It stamps the operator id and the wall
+// clock (the engine reads no clock for observers) and delivers to the
+// tracer and to the WithEvents callback, one at a time for the latter.
+// Each sink is recovered on its own and counted into Stats.EventPanics, so
+// a panicking callback still lets the tracer see the event and vice versa.
+func (t *opTrace) Emit(ev trace.Event) {
+	ev.Op, ev.Time = t.id, time.Now()
+	emitSafe(t.tr, ev, &t.panics)
+	if t.user == nil {
+		return
 	}
-	if t.tr != nil {
-		emitSafe(t.tr, t.convert(ev), &t.panics)
-	}
-}
-
-func (t *opTrace) callUser(ev core.Event) {
+	t.userMu.Lock()
+	defer t.userMu.Unlock()
 	defer func() {
 		if recover() != nil {
 			t.panics.Add(1)
 		}
 	}()
-	t.user(ev)
-}
-
-// convert translates a core engine event into the trace vocabulary. Core
-// timestamps are offsets on the Env clock, which starts at envStart.
-func (t *opTrace) convert(ev core.Event) trace.Event {
-	out := trace.Event{
-		Time:    t.envStart.Add(ev.At),
-		Op:      t.id,
-		Step:    ev.Step,
+	t.user(Event{
+		Kind:    ev.Kind,
+		At:      ev.Time.Sub(t.envStart),
 		Target:  ev.Target,
 		Granted: ev.Granted,
+		Detail:  ev.Pages,
+		Step:    ev.Step,
 		Worker:  ev.Worker,
-	}
-	switch ev.Kind {
-	case core.EvPhase:
-		out.Kind, out.Name = trace.KindPhase, ev.Phase
-	case core.EvRunDone:
-		out.Kind, out.Pages = trace.KindRun, ev.Detail
-	case core.EvStepStart:
-		out.Kind, out.Pages = trace.KindStepBegin, ev.Detail
-	case core.EvStepDone:
-		out.Kind, out.Pages = trace.KindStepEnd, ev.Detail
-	case core.EvSplitStep:
-		out.Kind, out.Pages = trace.KindSplit, ev.Detail
-	case core.EvCombineStart:
-		out.Kind, out.Pages = trace.KindCombineBegin, ev.Detail
-	case core.EvCombineDone:
-		out.Kind, out.Pages = trace.KindCombineEnd, ev.Detail
-	case core.EvCombineAbort:
-		out.Kind = trace.KindCombineAbort
-	case core.EvSuspend:
-		out.Kind, out.Pages = trace.KindSuspend, ev.Detail
-	case core.EvResume:
-		out.Kind, out.Pages = trace.KindResume, ev.Detail
-	}
-	return out
+		Phase:   ev.Name,
+	})
 }
 
 // finishStats folds the measured store I/O and any recovered observer panics

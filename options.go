@@ -89,8 +89,13 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithEvents installs a callback receiving adaptation events (phase
-// changes, step splits, combines, suspensions) as they happen.
+// WithEvents installs a callback receiving the engine's adaptation events
+// as they happen. It is an adapter over the trace stream (see WithTracer)
+// that delivers its ten engine kinds: EvPhase, trace.KindRun,
+// trace.KindStepBegin, EvStepDone, EvSplitStep, EvCombineStart,
+// EvCombineDone, EvCombineAbort, EvSuspend and EvResume. The Ev* names
+// are trace kinds, so they print in snake_case ("split", "combine_end").
+// WithEvents alone does not measure store I/O; WithTracer does.
 //
 // Concurrency contract: the engine invokes the callback sequentially —
 // never concurrently with itself for one operator. A serial operator calls
@@ -98,9 +103,9 @@ func WithWorkers(n int) Option {
 // events through a mutex, so calls may arrive on worker goroutines
 // (Event.Worker says which). A callback shared across operators (a pooled
 // workload) must be safe for concurrent use, since each operator invokes
-// its own copy of the stream. The callback must be fast — it runs inside the sort's adaptation
-// path. A panicking callback is recovered and counted in
-// Stats.EventPanics; it never corrupts the operation.
+// its own copy of the stream. The callback must be fast — it runs inside
+// the sort's adaptation path. A panicking callback is recovered and
+// counted in Stats.EventPanics; it never corrupts the operation.
 func WithEvents(fn func(Event)) Option {
 	return func(o *Options) { o.OnEvent = fn }
 }

@@ -45,7 +45,9 @@ const (
 	KindStepEnd
 	// Adaptation actions (paper §3.2): a step split off, a combine started /
 	// completed / aborted, the merge suspended / resumed. Target and
-	// Granted carry the memory state at the instant of the event.
+	// Granted carry the memory state at the instant of the event. A
+	// completed combine absorbs its sub-step, whose span ends there rather
+	// than at a KindStepEnd: KindCombineEnd's Step is that sub-step's id.
 	KindSplit
 	KindCombineBegin
 	KindCombineEnd
@@ -173,7 +175,8 @@ type Event struct {
 
 // Tracer receives engine events. Implementations must be safe for
 // concurrent use and should be fast: Emit runs on the operator's goroutine
-// (and, for store events, on I/O completion goroutines). A slow tracer
+// (on its parallel workers' goroutines, concurrently, under WithWorkers;
+// and, for store events, on I/O completion goroutines). A slow tracer
 // slows the sort — never the other way around: panics are recovered by the
 // caller.
 type Tracer interface {

@@ -12,7 +12,7 @@ import (
 
 func TestKindStringsDistinct(t *testing.T) {
 	seen := map[string]bool{}
-	for k := KindOpBegin; k <= KindStoreQueue; k++ {
+	for k := KindOpBegin; k <= KindStoreGaveUp; k++ {
 		s := k.String()
 		if s == "" || s == "unknown" || seen[s] {
 			t.Fatalf("bad kind string %q for %d", s, k)
