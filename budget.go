@@ -147,23 +147,7 @@ func (b *Budget) Pressure() int {
 	return 0
 }
 
-// WaitTarget blocks until the target is at least n.
-func (b *Budget) WaitTarget(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.target < n {
-		b.cond.Wait()
-	}
-}
-
-// WaitChange blocks until the budget changes.
-func (b *Budget) WaitChange() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.cond.Wait()
-}
-
-// wake broadcasts under the lock. Used by the context-aware waits: taking
+// wake broadcasts under the lock. Used by the cancelable waits: taking
 // the mutex orders the broadcast against a waiter that is between its
 // cancellation check and cond.Wait, so a cancel can never be missed.
 func (b *Budget) wake() {
@@ -172,17 +156,20 @@ func (b *Budget) wake() {
 	b.mu.Unlock()
 }
 
-// WaitTargetCtx blocks until the target is at least n or ctx is canceled,
-// returning ctx's error in the latter case. It makes suspension waits
-// cancelable: a suspended sort whose context is canceled returns promptly
-// instead of sleeping until the budget happens to be restored.
-func (b *Budget) WaitTargetCtx(ctx context.Context, n int) error {
-	stop := context.AfterFunc(ctx, b.wake)
-	defer stop()
+// WaitTarget blocks until the target is at least n or ctx is canceled,
+// returning ctx's error in the latter case; a nil ctx waits uncancelably.
+// It makes suspension waits cancelable: a suspended sort whose context is
+// canceled returns promptly instead of sleeping until the budget happens
+// to be restored.
+func (b *Budget) WaitTarget(ctx context.Context, n int) error {
+	if ctx != nil {
+		stop := context.AfterFunc(ctx, b.wake)
+		defer stop()
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for b.target < n {
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return err
 		}
 		b.cond.Wait()
@@ -190,16 +177,26 @@ func (b *Budget) WaitTargetCtx(ctx context.Context, n int) error {
 	return nil
 }
 
-// WaitChangeCtx blocks until the budget changes or ctx is canceled,
-// returning ctx's error in the latter case.
-func (b *Budget) WaitChangeCtx(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, b.wake)
-	defer stop()
+// WaitChange blocks until the budget changes or ctx is canceled, returning
+// ctx's error in the latter case; a nil ctx waits uncancelably.
+func (b *Budget) WaitChange(ctx context.Context) error {
+	if ctx != nil {
+		stop := context.AfterFunc(ctx, b.wake)
+		defer stop()
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := ctx.Err(); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return err
 	}
 	b.cond.Wait()
+	return ctxErr(ctx)
+}
+
+// ctxErr is ctx.Err() for a possibly nil ctx.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
 	return ctx.Err()
 }

@@ -314,7 +314,7 @@ func TestBudgetConcurrentMutation(t *testing.T) {
 }
 
 // TestWaitCtxWakesBlockedWaiter pins the context-aware waits directly: a
-// goroutine parked in WaitTargetCtx/WaitChangeCtx must return the context
+// goroutine parked in WaitTarget/WaitChange must return the context
 // error when canceled, with no budget change ever arriving.
 func TestWaitCtxWakesBlockedWaiter(t *testing.T) {
 	for _, mode := range []string{"target", "change"} {
@@ -324,9 +324,9 @@ func TestWaitCtxWakesBlockedWaiter(t *testing.T) {
 			done := make(chan error, 1)
 			go func() {
 				if mode == "target" {
-					done <- b.WaitTargetCtx(ctx, 100)
+					done <- b.WaitTarget(ctx, 100)
 				} else {
-					done <- b.WaitChangeCtx(ctx)
+					done <- b.WaitChange(ctx)
 				}
 			}()
 			time.Sleep(5 * time.Millisecond) // let it park

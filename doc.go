@@ -73,10 +73,12 @@
 //   - split phase: workers consume the shared input in page-sized bites
 //     and each produces sorted runs from its share of the budget;
 //   - merge phase: the key space is partitioned at run-page fence keys
-//     and each worker merges one disjoint key range into its own output
-//     segment (a parallel merge tree when pre-existing runs carry no
-//     fences), so a parallel Result holds up to Workers key-ordered
-//     segments that Iterator/All chain transparently;
+//     (the first key of each page) and each worker merges one disjoint
+//     key range into its own output segment, in one pass. Sort and Merge
+//     share this path; the fences of runs handed to Merge are read from
+//     the store as the partitioning needs them. A parallel Result holds up
+//     to Workers key-ordered segments that Iterator/All chain
+//     transparently;
 //   - memory: the single *Budget (or *Pool entitlement) is split into
 //     deterministic equal shares, remainder to the lowest ranks. Every
 //     Shrink propagates to every worker at its next output-page
@@ -89,10 +91,8 @@
 // single owning worker from fill to Append hand-off, runs are written by
 // exactly one goroutine, and completed runs may be read by several
 // goroutines concurrently (the RunStore contract all backends pass
-// storetest with). Result.Stats.Workers reports the crew size that
-// actually ran — 1 when the configured Broker cannot support
-// context-aware waits and the sort fell back to serial. The simulator
-// never sets workers, keeping its tables byte-identical.
+// storetest with). Result.Stats.Workers reports the crew size. The
+// simulator never sets workers, keeping its tables byte-identical.
 //
 // # Choosing a run store
 //

@@ -76,10 +76,9 @@ type SortConfig struct {
 	NoCombine bool
 
 	// Workers is the number of goroutines the real engine may use for run
-	// generation and merging; 0 and 1 both mean serial execution. The
-	// parallel path additionally requires the Env's broker to implement
-	// ContextBroker (both real brokers do); otherwise the engine falls back
-	// to serial. The simulator never sets this — simulated sorts are always
+	// generation and merging; 0 and 1 both mean serial execution. Both
+	// ExternalSort and MergeExisting partition a parallel merge by key
+	// range. The simulator never sets this — simulated sorts are always
 	// single-threaded, so its tables are unaffected.
 	Workers int
 }
@@ -106,6 +105,9 @@ func (c *SortConfig) Validate() error {
 	}
 	if c.MinPages < 3 {
 		c.MinPages = 3
+	}
+	if c.Workers < 1 {
+		c.Workers = 1
 	}
 	if c.Method != Quick && c.Method != Repl {
 		return fmt.Errorf("core: unknown method %d", c.Method)

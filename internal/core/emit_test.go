@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -14,7 +16,7 @@ import (
 // appends forces a dynamic split, a combine that is aborted by a shrink
 // mid-drain, and a combine that completes. Per-kind event counts must equal
 // the Stats counters, every combine must end or abort, every suspension
-// resume, and every step span close exactly once.
+// resume, and every step span close exactly once, in the Chrome trace too.
 func TestEventTallyMatchesStats(t *testing.T) {
 	const (
 		total       = 32
@@ -125,6 +127,37 @@ func TestEventTallyMatchesStats(t *testing.T) {
 			}
 			if len(open) != 0 {
 				t.Fatalf("steps never closed: %v", open)
+			}
+			// The Chrome trace of the same stream closes every merge-step
+			// span it opens, the combine-absorbed one included.
+			var buf bytes.Buffer
+			ch := trace.NewChrome(&buf)
+			for _, ev := range evs {
+				ch.Emit(ev)
+			}
+			if err := ch.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var rows []struct{ Ph, ID string }
+			if err := json.Unmarshal(buf.Bytes(), &rows); err != nil {
+				t.Fatalf("chrome trace: %v", err)
+			}
+			spans := map[string]int{}
+			for _, r := range rows {
+				switch r.Ph {
+				case "b":
+					spans[r.ID]++
+				case "e":
+					spans[r.ID]--
+				}
+			}
+			if len(spans) == 0 {
+				t.Fatal("chrome trace has no merge-step spans")
+			}
+			for id, n := range spans {
+				if n != 0 {
+					t.Errorf("chrome span %s: %+d more b than e", id, n)
+				}
 			}
 			s := res.Stats
 			for _, c := range []struct {

@@ -75,10 +75,13 @@ type Broker interface {
 	Yield(n int)
 	// Pressure returns max(0, Granted()-Target()).
 	Pressure() int
-	// WaitTarget blocks until Target() >= n (n is clamped to the pool size).
-	WaitTarget(n int)
-	// WaitChange blocks until the target may have changed.
-	WaitChange()
+	// WaitTarget blocks until Target() >= n (n is clamped to the pool size)
+	// or ctx is canceled, returning ctx's error in that case. A nil ctx is
+	// not cancelable; the simulator's brokers ignore ctx.
+	WaitTarget(ctx context.Context, n int) error
+	// WaitChange blocks until the target may have changed or ctx is
+	// canceled, like WaitTarget.
+	WaitChange(ctx context.Context) error
 }
 
 // Op enumerates CPU operations charged through the Meter. The instruction
@@ -98,16 +101,6 @@ const (
 // simulated CPU; the real engine's implementation just counts.
 type Meter interface {
 	Charge(op Op, n int64)
-}
-
-// ContextBroker is optionally implemented by brokers whose blocking waits
-// can be interrupted by context cancellation. When the Env carries a context
-// and its broker implements ContextBroker, suspension and empty-pool waits
-// return the context's error promptly instead of blocking until the next
-// budget change.
-type ContextBroker interface {
-	WaitTargetCtx(ctx context.Context, n int) error
-	WaitChangeCtx(ctx context.Context) error
 }
 
 // Env bundles the substrate a sort executes against.
@@ -261,36 +254,6 @@ func (e *Env) ctxErr() error {
 		return nil
 	}
 	return e.Ctx.Err()
-}
-
-// waitTarget blocks until the broker's target reaches n or the Env's
-// context is canceled.
-func (e *Env) waitTarget(n int) error {
-	if e.Ctx != nil {
-		if cb, ok := e.Mem.(ContextBroker); ok {
-			return cb.WaitTargetCtx(e.Ctx, n)
-		}
-		if err := e.Ctx.Err(); err != nil {
-			return err
-		}
-	}
-	e.Mem.WaitTarget(n)
-	return nil
-}
-
-// waitChange blocks until the budget changes or the Env's context is
-// canceled.
-func (e *Env) waitChange() error {
-	if e.Ctx != nil {
-		if cb, ok := e.Mem.(ContextBroker); ok {
-			return cb.WaitChangeCtx(e.Ctx)
-		}
-		if err := e.Ctx.Err(); err != nil {
-			return err
-		}
-	}
-	e.Mem.WaitChange()
-	return nil
 }
 
 // yieldAll hands every granted page back to the broker.

@@ -252,7 +252,7 @@ func (m *mergeEngine) adaptStatic(st *mergeStep) error {
 		m.e.emit(m.st, trace.KindSuspend, need, 0, "")
 		// Cancellation interrupts the suspension wait: a canceled sort must
 		// not sleep until the budget happens to be restored.
-		if err := m.e.waitTarget(need); err != nil {
+		if err := m.e.Mem.WaitTarget(m.e.Ctx, need); err != nil {
 			return err
 		}
 		m.e.Mem.Acquire(need - m.e.Mem.Granted())
@@ -527,7 +527,7 @@ func (m *mergeEngine) ensureProgress(st *mergeStep) error {
 	if m.e.Mem.Acquire(held+1-g) > 0 {
 		return nil
 	}
-	return m.e.waitChange()
+	return m.e.Mem.WaitChange(m.e.Ctx)
 }
 
 // shedReadAhead drops up to n tail read-ahead pages (never a run's current

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"github.com/memadapt/masort/trace"
 )
 
 // mkRuns writes n synthetic sorted runs of the given page counts into the
@@ -32,8 +34,25 @@ func mkRuns(t *testing.T, store *memStore, pageRecs int, pages []int) ([]*runInf
 
 func mergeWith(t *testing.T, cfg SortConfig, broker *scriptedBroker, store *memStore, runs []*runInfo) (*runInfo, *SortStats) {
 	t.Helper()
+	return mergeIn(t, cfg, &Env{Store: store, Mem: broker, Meter: newCountingMeter()}, runs)
+}
+
+// mergeCounting is mergeWith with a tracer that counts the merge's events by
+// kind. The engine reads the broker for every traced event, and each read
+// advances a scriptedBroker's clock, so a script plays out differently
+// under mergeCounting than under mergeWith.
+func mergeCounting(t *testing.T, cfg SortConfig, broker *scriptedBroker, store *memStore, runs []*runInfo) (*runInfo, *SortStats, map[trace.Kind]int) {
+	t.Helper()
+	kinds := map[trace.Kind]int{}
+	env := &Env{Store: store, Mem: broker, Meter: newCountingMeter(),
+		Tracer: tracerFunc(func(ev trace.Event) { kinds[ev.Kind]++ })}
+	out, st := mergeIn(t, cfg, env, runs)
+	return out, st, kinds
+}
+
+func mergeIn(t *testing.T, cfg SortConfig, env *Env, runs []*runInfo) (*runInfo, *SortStats) {
+	t.Helper()
 	st := &SortStats{}
-	env := &Env{Store: store, Mem: broker, Meter: newCountingMeter()}
 	m := &mergeEngine{e: env, cfg: cfg, st: st}
 	out, err := m.mergeRuns(runs)
 	if err != nil {
@@ -94,12 +113,16 @@ func TestDynamicCombineMatchesFigure3(t *testing.T) {
 	broker := newScriptedBroker(t, 11, 3)
 	broker.script = []targetChange{{40, 8}, {120, 11}}
 	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 4, MinPages: 3, BlockPages: 1}
-	out, st := mergeWith(t, cfg, broker, store, runs)
+	out, st, kinds := mergeCounting(t, cfg, broker, store, runs)
 	if st.Splits < 1 {
 		t.Fatalf("expected a split, got %d", st.Splits)
 	}
 	if st.Combines < 1 {
 		t.Fatalf("expected a combine after growth, got %d", st.Combines)
+	}
+	// Every combine drains and absorbs: none is aborted.
+	if b, e := kinds[trace.KindCombineBegin], kinds[trace.KindCombineEnd]; b != e || kinds[trace.KindCombineAbort] != 0 {
+		t.Fatalf("combine_begin %d, combine_end %d, combine_abort %d", b, e, kinds[trace.KindCombineAbort])
 	}
 	got := runRecords(t, store, out.id)
 	checkSorted(t, got)
@@ -120,7 +143,10 @@ func TestDrainAbortOnShrink(t *testing.T) {
 		{400, 9}, // recover
 	}
 	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 4, MinPages: 3, BlockPages: 1}
-	out, _ := mergeWith(t, cfg, broker, store, runs)
+	out, _, kinds := mergeCounting(t, cfg, broker, store, runs)
+	if n := kinds[trace.KindCombineAbort]; n < 1 {
+		t.Fatalf("the shrink at tick 150 aborted %d combines, want at least 1", n)
+	}
 	got := runRecords(t, store, out.id)
 	checkSorted(t, got)
 	checkPermutation(t, all, got)

@@ -2,10 +2,8 @@ package core
 
 // Parallel execution of the real engine's two phases (ISSUE 10). The
 // simulator never reaches this file: cfg.Workers > 1 is only ever set by the
-// public API, and effectiveWorkers additionally requires the broker to
-// support context waits. Everything here therefore runs wall-clock
-// goroutines freely while the simulated engine stays single-threaded and
-// byte-identical.
+// public API. Everything here therefore runs wall-clock goroutines freely
+// while the simulated engine stays single-threaded and byte-identical.
 //
 // Worker model:
 //
@@ -21,13 +19,14 @@ package core
 //   - Run generation: workers pull input pages from a mutex-guarded shared
 //     input and run the ordinary quickSplit/replSplit against their own
 //     Env view, each appending complete runs through its own store path.
-//   - Merge: the split phase records per-page first-key fences, from which
-//     the coordinator derives W-1 splitter keys; each worker merges
-//     key-range clones of every run into one output segment. Segments
-//     concatenate in key order, so parallel output is value-identical to
-//     serial output. Runs without fences (MergeExisting) use a merge tree
-//     instead: disjoint run groups merge in parallel, then one serial
-//     final merge.
+//   - Merge (ExternalSort and MergeExisting alike): the coordinator derives
+//     W-1 splitter keys from the runs' per-page first-key fences and cuts
+//     every run into key-range clones; each worker merges its clones into
+//     one output segment. Segments concatenate in key order, so parallel
+//     output is value-identical to serial output. The split phase records
+//     fences as it writes a run; a run handed in by id has its fences read
+//     from the store as the coordinator needs them (a per-run sample for
+//     the splitters, then each clone's binary search).
 import (
 	"cmp"
 	"context"
@@ -38,20 +37,6 @@ import (
 
 	"github.com/memadapt/masort/trace"
 )
-
-// effectiveWorkers reports how many goroutines the operation may use: the
-// configured worker count when the broker supports context-cancelable waits
-// (both real brokers do), else 1. The parallel path depends on ContextBroker
-// to run its budget-change forwarder without leaking a goroutine.
-func effectiveWorkers(e *Env, cfg SortConfig) int {
-	if cfg.Workers < 2 {
-		return 1
-	}
-	if _, ok := e.Mem.(ContextBroker); !ok {
-		return 1
-	}
-	return cfg.Workers
-}
 
 // crew coordinates the worker goroutines of one parallel phase over the
 // operation's single Broker. All shares derive from the live parent target
@@ -75,8 +60,7 @@ type crew struct {
 	fwdDone chan struct{}
 }
 
-// newCrew starts the crew and its budget-change forwarder. The caller must
-// have checked that e.Mem implements ContextBroker (effectiveWorkers).
+// newCrew starts the crew and its budget-change forwarder.
 func newCrew(e *Env, workers, minNeed int) *crew {
 	c := &crew{
 		parent:  e.Mem,
@@ -97,7 +81,6 @@ func newCrew(e *Env, workers, minNeed int) *crew {
 	}
 	fctx, cancel := context.WithCancel(base)
 	c.cancel = cancel
-	cb := e.Mem.(ContextBroker)
 	// The forwarder translates parent budget changes (Pool.Resize,
 	// Budget.Shrink/Grow, sibling-operator churn) into crew wakeups, so a
 	// parked worker re-evaluates its share promptly.
@@ -105,7 +88,7 @@ func newCrew(e *Env, workers, minNeed int) *crew {
 	go func() {
 		defer close(c.fwdDone)
 		for {
-			if err := cb.WaitChangeCtx(fctx); err != nil {
+			if err := e.Mem.WaitChange(fctx); err != nil {
 				return
 			}
 			c.mu.Lock()
@@ -381,10 +364,7 @@ func (w *workerShare) Pressure() int {
 	return 0
 }
 
-func (w *workerShare) WaitTarget(n int) { _ = w.WaitTargetCtx(nil, n) }
-func (w *workerShare) WaitChange()      { _ = w.WaitChangeCtx(nil) }
-
-func (w *workerShare) WaitTargetCtx(ctx context.Context, n int) error {
+func (w *workerShare) WaitTarget(ctx context.Context, n int) error {
 	c := w.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -396,7 +376,7 @@ func (w *workerShare) WaitTargetCtx(ctx context.Context, n int) error {
 	return nil
 }
 
-func (w *workerShare) WaitChangeCtx(ctx context.Context) error {
+func (w *workerShare) WaitChange(ctx context.Context) error {
 	c := w.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -502,64 +482,162 @@ func parallelSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 	return runs, err
 }
 
-// cloneRange builds a shared key-bounded view of r for one merge partition:
-// the records with lo <= key < hi (each bound optional). The fence index
-// places the start page without I/O — every page before it holds only keys
-// below lo. Returns nil when the fences prove the range is empty.
-func cloneRange(r *runInfo, lo Key, hasLo bool, hi Key, hasHi bool) *runInfo {
-	start := 0
-	if hasLo {
-		// First fence >= lo; the page before it may still reach into the
-		// range (its last keys run up to that fence), so start there.
-		i := sort.Search(len(r.fences), func(i int) bool { return r.fences[i] >= lo })
-		if i > 0 {
-			start = i - 1
+// parallelMerge partitions the merge by key range across w goroutines: the
+// coordinator cuts every run into key-range clones (partition), each worker
+// merges its clones into one output segment, and the segments concatenate
+// in key order — the output sequence is value-identical to a serial merge.
+// The runs are consumed, on success and on abort alike.
+func parallelMerge(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo, w int) ([]*runInfo, error) {
+	parts, err := partition(e, st, runs, w)
+	// The probes' page goes back before the workers share the budget.
+	e.yieldAll()
+	if err != nil {
+		freeRuns(e, runs)
+		return nil, err
+	}
+	c := newCrew(e, w, cfg.MinPages)
+	defer c.close(e)
+	outs := make([]*runInfo, w)
+	err = c.run(e, st, func(we *Env, wst *SortStats, id int) (err error) {
+		if err = c.pauseAtStart(we, wst, id); err == nil {
+			outs[id], err = workerMerge(we, cfg, wst, parts[id])
+		}
+		return err
+	})
+	segs := slices.DeleteFunc(outs, func(r *runInfo) bool { return r == nil })
+	// The workers only borrowed the input runs through shared clones; the
+	// coordinator owns and frees them — exactly once, after every worker is
+	// done (success or abort).
+	freeRuns(e, runs)
+	if err != nil {
+		freeRuns(e, segs)
+		return nil, err
+	}
+	return segs, nil
+}
+
+// partition picks w-1 splitter keys (pickCuts) and returns, for each worker,
+// a key-range clone of every run that holds keys in the worker's range.
+func partition(e *Env, st *SortStats, runs []*runInfo, w int) ([][]*runInfo, error) {
+	cuts, err := pickCuts(e, st, runs, w)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([][]*runInfo, w)
+	for id := range parts {
+		hasLo, hasHi := id > 0, id < len(cuts)
+		var lo, hi Key
+		if hasLo {
+			lo = cuts[id-1]
+		}
+		if hasHi {
+			hi = cuts[id]
+		}
+		if hasLo && hasHi && lo >= hi {
+			continue // duplicate splitter keys: the range is empty
+		}
+		for _, r := range runs {
+			c, err := cloneRange(e, st, r, lo, hasLo, hi, hasHi)
+			if err != nil {
+				return nil, err
+			}
+			if c != nil {
+				parts[id] = append(parts[id], c)
+			}
 		}
 	}
-	if start >= r.pages {
-		return nil
+	return parts, nil
+}
+
+// pickCuts returns w-1 splitter keys at equal cumulative-page intervals of
+// the runs' sorted fences, so each worker merges about as many pages. A run
+// without recorded fences stands in with estimated ones (estimateFences).
+func pickCuts(e *Env, st *SortStats, runs []*runInfo, w int) ([]Key, error) {
+	var fences []Key
+	for _, r := range runs {
+		if len(r.fences) == r.pages {
+			fences = append(fences, r.fences...)
+			continue
+		}
+		var err error
+		if fences, err = r.estimateFences(e, st, w, fences); err != nil {
+			return nil, err
+		}
 	}
-	if hasHi && r.fences[start] >= hi {
-		// Everything from the start page on is >= hi, and everything before
-		// it is < lo: the partition gets nothing from this run.
-		return nil
+	slices.Sort(fences)
+	cuts := make([]Key, w-1)
+	for i := 1; i < w; i++ {
+		cuts[i-1] = fences[len(fences)*i/w]
+	}
+	return cuts, nil
+}
+
+// cloneRange builds a shared view of r's records with lo <= key < hi (each
+// bound optional) for one merge partition, positioned at the first of them;
+// nil when the range holds none of r's records. The first page whose fence
+// is >= lo is found by binary search. The page before it may still reach
+// into the range (its last keys run up to that fence), so the clone starts
+// there, past the keys below lo — one page read.
+func cloneRange(e *Env, st *SortStats, r *runInfo, lo Key, hasLo bool, hi Key, hasHi bool) (*runInfo, error) {
+	page, pos := 0, 0
+	if hasLo {
+		i, err := r.searchFence(e, st, lo)
+		if err != nil {
+			return nil, err
+		}
+		page = i
+		if i > 0 {
+			pg, err := readPage(e, st, r.id, i-1)
+			if err != nil {
+				return nil, err
+			}
+			if j := sort.Search(len(pg), func(j int) bool { return pg[j].Key >= lo }); j < len(pg) {
+				page, pos = i-1, j
+			}
+			e.recycle(pg)
+		}
+	}
+	if page >= r.pages {
+		return nil, nil
+	}
+	if hasHi && pos == 0 {
+		// Everything from the start page on is >= its fence, and everything
+		// before it is < lo: a fence >= hi leaves the partition nothing.
+		f, err := r.fence(e, st, page)
+		if err != nil {
+			return nil, err
+		}
+		if f >= hi {
+			return nil, nil
+		}
 	}
 	return &runInfo{
 		id:      r.id,
 		pages:   r.pages,
-		page:    start,
-		fences:  r.fences,
+		page:    page,
+		pos:     pos,
 		shared:  true,
 		bounded: hasHi,
 		hi:      hi,
-	}
+	}, nil
 }
 
-// seekClone advances the clone past records below its lower bound, reading
-// at most one page: the start page was fence-chosen so the next page's
-// first key is already >= lo. The transient buffer is accounted with a
-// best-effort one-page grant.
-func seekClone(we *Env, st *SortStats, c *runInfo, lo Key, hasLo bool) error {
-	if !hasLo || c.page >= c.pages || c.fences[c.page] >= lo {
-		return nil
+// readPage reads page i of run id for the coordinator's fence probes and
+// clone seeks. It reads under a granted page: like ensureSlot it takes one
+// from the broker, and while none can be granted it waits for the budget to
+// change. The caller yields the page once partitioning is done.
+func readPage(e *Env, st *SortStats, id RunID, i int) (Page, error) {
+	for e.Mem.Granted() < 1 && e.Mem.Acquire(1) < 1 {
+		if err := e.Mem.WaitChange(e.Ctx); err != nil {
+			return nil, err
+		}
 	}
-	if got := we.Mem.Acquire(1); got > 0 {
-		defer we.Mem.Yield(got)
-	}
-	pg, err := we.Store.ReadAsync(c.id, c.page).Wait()
+	pg, err := e.Store.ReadAsync(id, i).Wait()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	st.MergePagesRead++
-	i := sort.Search(len(pg), func(i int) bool { return pg[i].Key >= lo })
-	if i < len(pg) {
-		c.pos = i
-	} else {
-		c.page++
-		c.pos = 0
-	}
-	we.recycle(pg)
-	return nil
+	return pg, nil
 }
 
 // materialize copies a single bounded clone into a fresh run with an
@@ -581,39 +659,11 @@ func (m *mergeEngine) materialize(clone *runInfo) (*runInfo, error) {
 	return out, nil
 }
 
-// workerMerge merges worker id's key partition of every run into one output
-// segment, with the full adaptation machinery (suspension, paging, dynamic
+// workerMerge merges one worker's key-range clones into its output segment,
+// with the full adaptation machinery (suspension, paging, dynamic
 // splitting, pause/resume, cancellation) running against the worker's crew
 // share. Returns nil for an empty partition.
-func workerMerge(we *Env, cfg SortConfig, st *SortStats, runs []*runInfo, cuts []Key, id int) (*runInfo, error) {
-	hasLo, hasHi := id > 0, id < len(cuts)
-	var lo, hi Key
-	if hasLo {
-		lo = cuts[id-1]
-	}
-	if hasHi {
-		hi = cuts[id]
-	}
-	if hasLo && hasHi && lo >= hi {
-		return nil, nil // duplicate splitter keys: the range is empty
-	}
-	var clones []*runInfo
-	for _, r := range runs {
-		c := cloneRange(r, lo, hasLo, hi, hasHi)
-		if c == nil {
-			continue
-		}
-		if err := seekClone(we, st, c, lo, hasLo); err != nil {
-			return nil, err
-		}
-		if c.page >= c.pages {
-			continue
-		}
-		if c.bounded && c.pos == 0 && c.fences[c.page] >= c.hi {
-			continue
-		}
-		clones = append(clones, c)
-	}
+func workerMerge(we *Env, cfg SortConfig, st *SortStats, clones []*runInfo) (*runInfo, error) {
 	if len(clones) == 0 {
 		return nil, nil
 	}
@@ -628,86 +678,4 @@ func workerMerge(we *Env, cfg SortConfig, st *SortStats, runs []*runInfo, cuts [
 		return m.materialize(out)
 	}
 	return out, nil
-}
-
-// parallelMerge partitions the merge by key range across cfg.Workers
-// goroutines: the split phase's page fences yield W-1 splitter keys at
-// equal cumulative-page intervals, each worker merges bounded clones of
-// every run, and the resulting segments concatenate in key order — the
-// output sequence is value-identical to a serial merge. Returns ok=false
-// (caller falls back to a serial merge) when any run lacks fences or the
-// input is too small to split W ways.
-func parallelMerge(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo) ([]*runInfo, bool, error) {
-	w := cfg.Workers
-	var fences []Key
-	total := 0
-	for _, r := range runs {
-		if len(r.fences) != r.pages {
-			return nil, false, nil
-		}
-		total += r.pages
-		fences = append(fences, r.fences...)
-	}
-	if w > total/2 {
-		w = total / 2
-	}
-	if w < 2 {
-		return nil, false, nil
-	}
-	slices.Sort(fences)
-	cuts := make([]Key, w-1)
-	for i := 1; i < w; i++ {
-		cuts[i-1] = fences[len(fences)*i/w]
-	}
-
-	c := newCrew(e, w, cfg.MinPages)
-	defer c.close(e)
-	outs := make([]*runInfo, w)
-	err := c.run(e, st, func(we *Env, wst *SortStats, id int) (err error) {
-		if err = c.pauseAtStart(we, wst, id); err == nil {
-			outs[id], err = workerMerge(we, cfg, wst, runs, cuts, id)
-		}
-		return err
-	})
-	segs := slices.DeleteFunc(outs, func(r *runInfo) bool { return r == nil })
-	// The workers only borrowed the input runs through shared clones; the
-	// coordinator owns and frees them — exactly once, after every worker is
-	// done (success or abort).
-	freeRuns(e, runs)
-	if err != nil {
-		freeRuns(e, segs)
-		return nil, true, err
-	}
-	return segs, true, nil
-}
-
-// parallelTreeMerge is the fan-in-bound fallback for runs without fences
-// (MergeExisting): the runs divide round-robin into disjoint groups, each
-// group merges in parallel into one intermediate run, and a serial final
-// merge combines the intermediates. Unlike parallelMerge the workers own
-// their runs outright, so the ordinary consume-and-free path applies.
-func parallelTreeMerge(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo) (*runInfo, error) {
-	w := min(cfg.Workers, len(runs)/2)
-	groups := make([][]*runInfo, w)
-	for i, r := range runs {
-		groups[i%w] = append(groups[i%w], r)
-	}
-	c := newCrew(e, w, cfg.MinPages)
-	inter := make([]*runInfo, w)
-	err := c.run(e, st, func(we *Env, wst *SortStats, id int) (err error) {
-		if err = c.pauseAtStart(we, wst, id); err == nil {
-			m := &mergeEngine{e: we, cfg: cfg, st: wst}
-			inter[id], err = m.mergeRuns(groups[id])
-		}
-		return err
-	})
-	c.close(e)
-	inter = slices.DeleteFunc(inter, func(r *runInfo) bool { return r == nil })
-	if err != nil {
-		freeRuns(e, inter)
-		e.yieldAll()
-		return nil, err
-	}
-	m := &mergeEngine{e: e, cfg: cfg, st: st}
-	return m.mergeRuns(inter)
 }

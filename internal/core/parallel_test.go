@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -84,9 +85,6 @@ func (b *ctxBudget) Resize(n int) {
 	b.cond.Broadcast()
 }
 
-func (b *ctxBudget) WaitTarget(n int) { _ = b.WaitTargetCtx(context.Background(), n) }
-func (b *ctxBudget) WaitChange()      { _ = b.WaitChangeCtx(context.Background()) }
-
 func (b *ctxBudget) wait(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() {
 		b.mu.Lock()
@@ -98,7 +96,10 @@ func (b *ctxBudget) wait(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (b *ctxBudget) WaitTargetCtx(ctx context.Context, n int) error {
+func (b *ctxBudget) WaitTarget(ctx context.Context, n int) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for b.target < n {
@@ -112,7 +113,10 @@ func (b *ctxBudget) WaitTargetCtx(ctx context.Context, n int) error {
 	return nil
 }
 
-func (b *ctxBudget) WaitChangeCtx(ctx context.Context) error {
+func (b *ctxBudget) WaitChange(ctx context.Context) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -504,62 +508,105 @@ func TestParallelCancelMidMerge(t *testing.T) {
 	}
 }
 
-// TestParallelMergeExistingTree drives the fence-less merge-tree path.
-func TestParallelMergeExistingTree(t *testing.T) {
-	store := newSafeStore()
-	env := &Env{Store: store, Mem: newCtxBudget(32), Ctx: context.Background()}
-	var ids []RunID
-	var all []Record
-	for i := 0; i < 9; i++ {
-		recs := makeRecords(2000, uint64(100+i))
-		sortRecords(recs)
-		ri, err := writeRun(env, recs, 32)
-		if err != nil {
-			t.Fatalf("writeRun: %v", err)
+// TestParallelMergeExistingProbesFences drives the key-range merge over runs
+// handed in without fences: the coordinator reads a per-run sample of fences
+// and its binary-search probes from the store, and the merge still takes
+// one pass.
+// Against a serial merge of the same runs it may write only the partial
+// last page of each extra segment, and read only the probe pages on top.
+func TestParallelMergeExistingProbesFences(t *testing.T) {
+	const (
+		runs     = 9
+		pageRecs = 32
+		workers  = 3
+	)
+	merge := func(w int) (*SortResult, *safeStore, []Record, *ctxBudget) {
+		store := newSafeStore()
+		budget := newCtxBudget(64) // a 21-page share holds all 9 clones
+		env := &Env{Store: store, Mem: budget, Ctx: context.Background()}
+		var ids []RunID
+		var all []Record
+		for i := 0; i < runs; i++ {
+			recs := makeRecords(2000, uint64(100+i))
+			sortRecords(recs)
+			ri, err := writeRun(env, recs, pageRecs)
+			if err != nil {
+				t.Fatalf("writeRun: %v", err)
+			}
+			ri.fences = nil // MergeExisting inputs carry no fences
+			ids = append(ids, ri.id)
+			all = append(all, recs...)
 		}
-		ri.fences = nil // MergeExisting inputs carry no fences
-		ids = append(ids, ri.id)
-		all = append(all, recs...)
+		cfg := DefaultConfig()
+		cfg.PageRecords = pageRecs
+		cfg.Workers = w
+		res, err := MergeExisting(env, cfg, ids)
+		if err != nil {
+			t.Fatalf("merge w%d: %v", w, err)
+		}
+		return res, store, all, budget
 	}
-	cfg := DefaultConfig()
-	cfg.PageRecords = 32
-	cfg.Workers = 3
-	res, err := MergeExisting(env, cfg, ids)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
+	serial, _, _, _ := merge(1)
+	res, store, all, budget := merge(workers)
+	if res.Stats.Workers != workers {
+		t.Fatalf("Stats.Workers = %d, want %d", res.Stats.Workers, workers)
 	}
-	if res.Stats.Workers != 3 {
-		t.Fatalf("Stats.Workers = %d, want 3", res.Stats.Workers)
+	if len(res.Segments) < 2 {
+		t.Fatalf("expected a key-range merge with >1 segment, got %d", len(res.Segments))
 	}
-	got := store.records([]RunID{res.Result})
+	got := store.records(res.Segments)
 	checkSorted(t, got)
 	checkPermutation(t, all, got)
-	if live := store.liveRuns(); live != 1 {
-		t.Fatalf("store has %d live runs, want 1", live)
+	if live := store.liveRuns(); live != len(res.Segments) {
+		t.Fatalf("store has %d live runs, want %d segments", live, len(res.Segments))
+	}
+	if g := budget.Granted(); g != 0 {
+		t.Fatalf("broker still has %d pages granted", g)
+	}
+	s, p := res.Stats, serial.Stats
+	if s.MergeSteps != workers || s.MergePagesWritten > p.MergePagesWritten+workers-1 {
+		t.Fatalf("parallel merge took %d steps writing %d pages; serial wrote %d in %d step",
+			s.MergeSteps, s.MergePagesWritten, p.MergePagesWritten, p.MergeSteps)
+	}
+	// Per run: the w+1 sampled fences, and per cut a binary search over at
+	// most 63 pages (6 probes), the seek into the start page and the
+	// re-read of that page by the worker below the cut.
+	if probes := runs * (workers + 1 + (workers-1)*(6+2)); s.MergePagesRead > p.MergePagesRead+probes {
+		t.Fatalf("parallel merge read %d pages, serial %d + at most %d probes", s.MergePagesRead, p.MergePagesRead, probes)
 	}
 }
 
-// TestParallelFallsBackWithoutContextBroker: a broker without context waits
-// cannot host the crew, so the sort must run serially and still succeed.
-func TestParallelFallsBackWithoutContextBroker(t *testing.T) {
-	recs := makeRecords(5000, 9)
-	env, store, _, _ := testEnv(t, recs, 32, 32, 3)
-	cfg := DefaultConfig()
-	cfg.PageRecords = 32
-	cfg.Workers = 4
-	res, err := ExternalSort(env, cfg)
-	if err != nil {
-		t.Fatalf("sort: %v", err)
+// TestPickCutsOnRecordedFences pins the splitters for runs whose fences the
+// split phase recorded: the sorted fences at equal page intervals, with no
+// store reads.
+func TestPickCutsOnRecordedFences(t *testing.T) {
+	var runs []*runInfo
+	var fences []Key
+	for i := 0; i < 5; i++ {
+		recs := makeRecords(3+7*i, uint64(i))
+		sortRecords(recs)
+		r := &runInfo{pages: len(recs)}
+		for _, rec := range recs {
+			r.fences = append(r.fences, rec.Key)
+		}
+		runs = append(runs, r)
+		fences = append(fences, r.fences...)
 	}
-	if res.Stats.Workers != 1 {
-		t.Fatalf("Stats.Workers = %d, want 1 (serial fallback)", res.Stats.Workers)
+	slices.Sort(fences)
+	for _, w := range []int{2, 3, 4, 7} {
+		st := &SortStats{}
+		cuts, err := pickCuts(&Env{}, st, runs, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Key, w-1)
+		for i := 1; i < w; i++ {
+			want[i-1] = fences[len(fences)*i/w]
+		}
+		if !slices.Equal(cuts, want) || st.MergePagesRead != 0 {
+			t.Fatalf("w%d: cuts %v after %d reads, want %v", w, cuts, st.MergePagesRead, want)
+		}
 	}
-	if len(res.Segments) != 1 {
-		t.Fatalf("serial fallback produced %d segments", len(res.Segments))
-	}
-	got := runRecords(t, store, res.Result)
-	checkSorted(t, got)
-	checkPermutation(t, recs, got)
 }
 
 // TestCrewShares pins the deterministic share arithmetic: the target
@@ -625,7 +672,7 @@ func TestWorkerWaitChangeSeesEarlierWakeup(t *testing.T) {
 	c.leave(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := w1.WaitChangeCtx(ctx); err != nil {
+	if err := w1.WaitChange(ctx); err != nil {
 		t.Fatalf("wait missed the sibling's departure: %v", err)
 	}
 	if got := w1.Acquire(4); got != 4 {

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // runInfo tracks one sorted run from creation through merge consumption.
 //
@@ -26,10 +29,13 @@ type runInfo struct {
 	producer *mergeStep // step still appending to this run, nil when complete
 	freed    bool
 
-	// fences records the first key of every page as the split phase writes
-	// the run. The parallel merge uses them to partition runs by key range
-	// without reading them; runs handed to MergeExisting have none.
+	// fences holds the first key of every page; the parallel merge cuts
+	// runs into key ranges with them. The split phase records them as it
+	// writes the run. A run handed to MergeExisting has none until the
+	// parallel merge allocates them and probed marks which ones it has read
+	// from the store so far (probed is nil when every fence is known).
 	fences []Key
+	probed []bool
 
 	// shared marks a key-range clone of a run owned by the parallel merge
 	// coordinator: the engine must not free the underlying storage when the
@@ -39,6 +45,77 @@ type runInfo struct {
 	shared  bool
 	bounded bool
 	hi      Key
+}
+
+// fence returns the first key of page i, reading the page the first time a
+// run without recorded fences needs it.
+func (r *runInfo) fence(e *Env, st *SortStats, i int) (Key, error) {
+	if r.probed != nil && !r.probed[i] {
+		pg, err := readPage(e, st, r.id, i)
+		if err != nil {
+			return 0, err
+		}
+		r.fences[i], r.probed[i] = pg[0].Key, true
+		e.recycle(pg)
+	}
+	return r.fences[i], nil
+}
+
+// estimateFences appends an estimate of the fences of a run that has none
+// recorded to est. It reads about w+1 evenly spaced pages, the first and the
+// last among them, and interpolates the fences of the pages in between
+// linearly. The fences it read stay known to later searches.
+func (r *runInfo) estimateFences(e *Env, st *SortStats, w int, est []Key) ([]Key, error) {
+	r.fences, r.probed = make([]Key, r.pages), make([]bool, r.pages)
+	stride := max(1, (r.pages-1+w-1)/w)
+	from, err := r.fence(e, st, 0)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < r.pages-1; {
+		next := min(i+stride, r.pages-1)
+		to, err := r.fence(e, st, next)
+		if err != nil {
+			return nil, err
+		}
+		for p := i; p < next; p++ {
+			hi, lo := bits.Mul64(to-from, uint64(p-i))
+			q, _ := bits.Div64(hi, lo, uint64(next-i))
+			est = append(est, from+q)
+		}
+		i, from = next, to
+	}
+	return append(est, from), nil
+}
+
+// searchFence returns the first page whose fence is >= k, or r.pages if
+// there is none. The fences already read narrow the binary search before
+// it reads any page.
+func (r *runInfo) searchFence(e *Env, st *SortStats, k Key) (int, error) {
+	i, j := 0, r.pages
+	for p, known := range r.probed {
+		if !known {
+			continue
+		}
+		if r.fences[p] >= k {
+			j = p
+			break
+		}
+		i = p + 1
+	}
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		f, err := r.fence(e, st, h)
+		if err != nil {
+			return 0, err
+		}
+		if f < k {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, nil
 }
 
 // remainingPages estimates how much of the run is left to read — the metric

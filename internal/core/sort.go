@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // SortResult is the outcome of one external sort: the identity of the final
 // sorted output plus execution statistics.
@@ -18,74 +21,30 @@ type SortResult struct {
 	Stats    SortStats
 }
 
-// MergeExisting merges already-sorted runs that live in e.Store into one
-// run, under the configured merging strategy and memory-adaptation strategy
-// — the merge phase of an external sort exposed on its own (useful for
-// compaction-style workloads). The input runs are consumed: they are freed
-// as the merge retires them. With a single input run, that run is returned
-// unchanged. With cfg.Workers > 1 the merge runs as a tree: disjoint run
-// groups merge in parallel, then one serial final merge (the result is
-// still a single run).
+// MergeExisting merges already-sorted runs that live in e.Store, under the
+// configured merging strategy and memory-adaptation strategy — the merge
+// phase of an external sort exposed on its own (useful for compaction-style
+// workloads). The input runs are consumed: they are freed as the merge
+// retires them. With a single input run, that run is returned unchanged.
+// With cfg.Workers > 1 the merge is partitioned by key range as in
+// ExternalSort, reading the fences of the runs from the store as it needs
+// them; the output is then a short ordered sequence of segment runs.
 func MergeExisting(e *Env, cfg SortConfig, ids []RunID) (*SortResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := &SortStats{}
-	pw := effectiveWorkers(e, cfg)
-	st.Workers = pw
 	t0 := e.now()
+	runs := make([]*runInfo, len(ids))
+	for i, id := range ids {
+		runs[i] = &runInfo{id: id, pages: e.Store.Pages(id)}
+	}
 	// The inputs are consumed even on abort: a canceled merge frees them
 	// so nothing leaks (the engine owns them from the moment of the call).
-	// Checked before the arity switch so the 0- and 1-run fast paths honor
-	// cancellation like every other operator entry.
 	if err := e.ctxErr(); err != nil {
-		runs := make([]*runInfo, len(ids))
-		for i, id := range ids {
-			runs[i] = &runInfo{id: id}
-		}
 		freeRuns(e, runs)
 		return nil, err
 	}
-	e.setPhase("merge")
-	var result *runInfo
-	switch len(ids) {
-	case 0:
-		id, err := e.Store.Create()
-		if err != nil {
-			return nil, err
-		}
-		result = &runInfo{id: id}
-	case 1:
-		result = &runInfo{id: ids[0], pages: e.Store.Pages(ids[0])}
-	default:
-		runs := make([]*runInfo, len(ids))
-		for i, id := range ids {
-			runs[i] = &runInfo{id: id, pages: e.Store.Pages(id)}
-		}
-		var err error
-		if pw > 1 && len(ids) >= 4 {
-			result, err = parallelTreeMerge(e, cfg, st, runs)
-		} else {
-			m := &mergeEngine{e: e, cfg: cfg, st: st}
-			result, err = m.mergeRuns(runs)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	st.MergeDuration = e.now() - t0
-	st.Response = st.MergeDuration
-	e.setPhase("idle")
-	if g := e.Mem.Granted(); g > 0 {
-		e.Mem.Yield(g)
-	}
-	return &SortResult{
-		Result:   result.id,
-		Segments: []RunID{result.id},
-		Pages:    result.pages,
-		Tuples:   result.tuples,
-		Stats:    *st,
-	}, nil
+	return mergePhase(e, cfg, &SortStats{Workers: cfg.Workers}, runs, t0)
 }
 
 // ExternalSort sorts e.In under cfg, writing the final sorted output into
@@ -98,9 +57,7 @@ func ExternalSort(e *Env, cfg SortConfig) (*SortResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := &SortStats{}
-	pw := effectiveWorkers(e, cfg)
-	st.Workers = pw
+	st := &SortStats{Workers: cfg.Workers}
 	t0 := e.now()
 
 	if err := e.ctxErr(); err != nil {
@@ -108,7 +65,7 @@ func ExternalSort(e *Env, cfg SortConfig) (*SortResult, error) {
 	}
 	var runs []*runInfo
 	var err error
-	if pw > 1 {
+	if cfg.Workers > 1 {
 		runs, err = parallelSplit(e, cfg, st)
 	} else {
 		runs, err = splitPhase(e, cfg, st)
@@ -121,50 +78,30 @@ func ExternalSort(e *Env, cfg SortConfig) (*SortResult, error) {
 		return nil, err
 	}
 	st.SplitDuration = e.now() - t0
+	res, err := mergePhase(e, cfg, st, runs, t0)
+	if err == nil && res.Tuples != st.TuplesIn {
+		return nil, fmt.Errorf("core: sort lost tuples: in %d, out %d", st.TuplesIn, res.Tuples)
+	}
+	return res, err
+}
 
+// mergePhase is the merge phase of ExternalSort and MergeExisting: it merges
+// runs, consuming them, into the output segments and builds the SortResult.
+// No input yields one empty output run, and a single run is the output as
+// it is. t0 is the start of the operation, for Stats.Response.
+func mergePhase(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo, t0 time.Duration) (*SortResult, error) {
 	e.setPhase("merge")
 	tm := e.now()
-	var segments []*runInfo
-	switch len(runs) {
-	case 0:
-		// Empty input still yields a (empty) result run.
-		id, err := e.Store.Create()
-		if err != nil {
+	segments := runs
+	if len(runs) > 1 {
+		var err error
+		if segments, err = mergeSegments(e, cfg, st, runs); err != nil {
+			// The merge freed its inputs and partial outputs on abort.
+			e.yieldAll()
 			return nil, err
-		}
-		segments = []*runInfo{{id: id}}
-	case 1:
-		segments = runs
-	default:
-		merged := false
-		if pw > 1 {
-			segs, ok, perr := parallelMerge(e, cfg, st, runs)
-			if perr != nil {
-				// The parallel merge freed the inputs and the workers'
-				// partial outputs on abort.
-				e.yieldAll()
-				return nil, perr
-			}
-			if ok {
-				segments = segs
-				merged = true
-			}
-		}
-		if !merged {
-			m := &mergeEngine{e: e, cfg: cfg, st: st}
-			result, err := m.mergeRuns(runs)
-			if err != nil {
-				// The merge engine frees its runs on abort.
-				e.yieldAll()
-				return nil, err
-			}
-			segments = []*runInfo{result}
 		}
 	}
 	if len(segments) == 0 {
-		// Defensive: a parallel merge of nonempty runs always yields at
-		// least one segment, but an all-empty partition set degenerates to
-		// an empty result run.
 		id, err := e.Store.Create()
 		if err != nil {
 			return nil, err
@@ -176,24 +113,32 @@ func ExternalSort(e *Env, cfg SortConfig) (*SortResult, error) {
 	e.setPhase("idle")
 
 	// Hand every page back before completing.
-	if g := e.Mem.Granted(); g > 0 {
-		e.Mem.Yield(g)
-	}
-	pages, tuples := 0, 0
-	ids := make([]RunID, len(segments))
+	e.yieldAll()
+	res := &SortResult{Segments: make([]RunID, len(segments)), Stats: *st}
 	for i, s := range segments {
-		pages += s.pages
-		tuples += s.tuples
-		ids[i] = s.id
+		res.Pages += s.pages
+		res.Tuples += s.tuples
+		res.Segments[i] = s.id
 	}
-	if tuples != st.TuplesIn {
-		return nil, fmt.Errorf("core: sort lost tuples: in %d, out %d", st.TuplesIn, tuples)
+	res.Result = res.Segments[0]
+	return res, nil
+}
+
+// mergeSegments merges two or more runs into key-ordered output segments:
+// a parallel key-range merge when there are workers and at least two input
+// pages for each, else one serial merge into a single run.
+func mergeSegments(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo) ([]*runInfo, error) {
+	total := 0
+	for _, r := range runs {
+		total += r.pages
 	}
-	return &SortResult{
-		Result:   ids[0],
-		Segments: ids,
-		Pages:    pages,
-		Tuples:   tuples,
-		Stats:    *st,
-	}, nil
+	if w := min(cfg.Workers, total/2); w > 1 {
+		return parallelMerge(e, cfg, st, runs, w)
+	}
+	m := &mergeEngine{e: e, cfg: cfg, st: st}
+	out, err := m.mergeRuns(runs)
+	if err != nil {
+		return nil, err
+	}
+	return []*runInfo{out}, nil
 }

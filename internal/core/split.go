@@ -81,7 +81,7 @@ func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			if e.Mem.Granted() == 0 {
 				// Entitled but the (shared) pool is empty: wait rather than
 				// spin. A single-operator pool never reaches this state.
-				if err := e.waitChange(); err != nil {
+				if err := e.Mem.WaitChange(e.Ctx); err != nil {
 					return runs, err
 				}
 				continue
@@ -302,7 +302,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 		}
 		if e.Mem.Granted() == 0 && !(inputDone && h.live == 0) {
 			// Entitled but the (shared) pool is empty: wait rather than spin.
-			if err := e.waitChange(); err != nil {
+			if err := e.Mem.WaitChange(e.Ctx); err != nil {
 				return fail(err)
 			}
 			continue

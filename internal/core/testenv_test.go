@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -164,7 +165,9 @@ func (b *scriptedBroker) Pressure() int {
 	return 0
 }
 
-func (b *scriptedBroker) WaitTarget(n int) {
+// WaitTarget and WaitChange jump to the next scripted change; the script
+// runs on broker calls alone, so they ignore ctx.
+func (b *scriptedBroker) WaitTarget(_ context.Context, n int) error {
 	if n > b.total {
 		n = b.total
 	}
@@ -172,20 +175,22 @@ func (b *scriptedBroker) WaitTarget(n int) {
 		if len(b.script) == 0 {
 			// Script over: memory returns for good, so waits terminate.
 			b.target = b.total
-			return
+			return nil
 		}
 		b.ticks = b.script[0].tick // jump to the next scripted change
 		b.tick()
 	}
+	return nil
 }
 
-func (b *scriptedBroker) WaitChange() {
+func (b *scriptedBroker) WaitChange(context.Context) error {
 	if len(b.script) == 0 {
 		b.target = b.total
-		return
+		return nil
 	}
 	b.ticks = b.script[0].tick
 	b.tick()
+	return nil
 }
 
 // ---- meters & inputs ----

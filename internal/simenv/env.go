@@ -6,6 +6,7 @@
 package simenv
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -58,8 +59,10 @@ func (br sharedBroker) Target() int       { return br.h.Target() }
 func (br sharedBroker) Acquire(n int) int { return br.h.Acquire(n) }
 func (br sharedBroker) Yield(n int)       { br.h.Yield(n) }
 func (br sharedBroker) Pressure() int     { return br.h.Pressure() }
-func (br sharedBroker) WaitTarget(n int)  { br.h.WaitTarget(n) }
-func (br sharedBroker) WaitChange()       { br.h.WaitChange() }
+
+// A simulated process has no context to cancel its waits: ctx is ignored.
+func (br sharedBroker) WaitTarget(_ context.Context, n int) error { br.h.WaitTarget(n); return nil }
+func (br sharedBroker) WaitChange(context.Context) error          { br.h.WaitChange(); return nil }
 
 func (b *binding) chargeIO(pages int) {
 	b.cpu.Charge(b.p, int64(pages)*(b.costs.StartIO+b.costs.FixPage))
@@ -97,8 +100,13 @@ func (br simBroker) Target() int       { return br.b.pool.Target() }
 func (br simBroker) Acquire(n int) int { return br.b.pool.Acquire(n) }
 func (br simBroker) Yield(n int)       { br.b.pool.Yield(n) }
 func (br simBroker) Pressure() int     { return br.b.pool.Pressure() }
-func (br simBroker) WaitTarget(n int)  { br.b.pool.WaitTarget(br.b.p, n) }
-func (br simBroker) WaitChange()       { br.b.pool.WaitChange(br.b.p) }
+
+// A simulated process has no context to cancel its waits: ctx is ignored.
+func (br simBroker) WaitTarget(_ context.Context, n int) error {
+	br.b.pool.WaitTarget(br.b.p, n)
+	return nil
+}
+func (br simBroker) WaitChange(context.Context) error { br.b.pool.WaitChange(br.b.p); return nil }
 
 // ---- Input: relation scan ----
 

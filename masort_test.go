@@ -304,7 +304,7 @@ func TestBudgetSemantics(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		b.WaitTarget(20)
+		_ = b.WaitTarget(nil, 20) // nil ctx: not cancelable
 		close(done)
 	}()
 	time.Sleep(time.Millisecond)

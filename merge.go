@@ -67,11 +67,18 @@ func WriteRun(store RunStore, it Iterator, pageRecords int) (RunID, int, error) 
 	return id, tuples, nil
 }
 
-// Merge combines already-sorted runs into a single sorted run under the
+// Merge combines already-sorted runs into one sorted result under the
 // configured memory budget and adaptation strategy — the merge phase of an
 // external sort exposed directly, for compaction-style workloads (think of
 // merging LSM sorted files with a memory allotment that changes while the
 // compaction runs).
+//
+// Serially the result is a single run. With WithWorkers(n > 1) the merge is
+// partitioned by key range exactly as Sort's is, still in one pass: the
+// Result then holds up to n key-ordered segment runs that Iterator chains
+// and Close frees. The runs carry no fence keys, so the partitioning reads
+// a few pages of each run from the store (about n+1 sampled pages, plus a
+// binary search per cut), each under a page granted by the budget.
 //
 // The input runs are CONSUMED: Merge frees them from the store as they are
 // retired, and a canceled merge frees the not-yet-retired ones too. With
@@ -109,7 +116,7 @@ func Merge(ctx context.Context, store RunStore, ids []RunID, opts ...Option) (*R
 	}
 	out := &Result{
 		store:    o.Store,
-		runs:     []RunID{res.Result},
+		runs:     res.Segments,
 		Pages:    res.Pages,
 		Tuples:   res.Tuples,
 		Stats:    res.Stats,

@@ -487,7 +487,7 @@ func TestChromeTraceFromSort(t *testing.T) {
 	if phCount["X"] == 0 {
 		t.Fatal("no complete (X) events — store I/O missing from trace")
 	}
-	if phCount["b"] == 0 || phCount["b"] < phCount["e"] {
+	if phCount["b"] == 0 || phCount["b"] != phCount["e"] {
 		t.Fatalf("async merge-step spans malformed: b=%d e=%d", phCount["b"], phCount["e"])
 	}
 	if phCount["i"] == 0 {

@@ -72,7 +72,7 @@ func WithAdaptiveBlockIO(on bool) Option {
 // workers collectively never hold more than the Budget/Pool target — a
 // Shrink propagates to every worker at its next page boundary, pausing
 // workers the shrunken budget can no longer sustain (at least one always
-// keeps merging). A parallel sort may return its output as several
+// keeps merging). A parallel sort or merge may return its output as several
 // key-partitioned segment runs; Result.Iterator chains them transparently
 // and Result.Close frees them all. Stats.Workers reports the worker count
 // used. The simulator ignores parallelism entirely — simulated sorts are

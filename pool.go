@@ -394,9 +394,9 @@ type PoolStats struct {
 	WaitTime time.Duration
 }
 
-// poolOp is one operator's view of a Pool. It implements core.Broker and
-// core.ContextBroker, so the engine adapts to pool arbitration exactly as
-// it adapts to a resized Budget.
+// poolOp is one operator's view of a Pool. It implements core.Broker, so
+// the engine adapts to pool arbitration exactly as it adapts to a resized
+// Budget.
 type poolOp struct {
 	p       *Pool
 	op      uint64 // trace id of the operator, 0 when untraced
@@ -496,28 +496,25 @@ func (h *poolOp) Yield(n int) {
 
 // WaitTarget blocks until the entitlement reaches n (clamped to the pool
 // total, so the wait terminates once reservations drain and siblings
-// finish).
-func (h *poolOp) WaitTarget(n int) { _ = h.waitTarget(nil, n) }
-
-// WaitChange blocks until the arbitration state changes.
-func (h *poolOp) WaitChange() { _ = h.waitChange(nil) }
-
-// WaitTargetCtx implements core.ContextBroker.
-func (h *poolOp) WaitTargetCtx(ctx context.Context, n int) error {
-	stop := context.AfterFunc(ctx, h.p.wake)
-	defer stop()
-	return h.waitTarget(ctx, n)
-}
-
-// WaitChangeCtx implements core.ContextBroker.
-func (h *poolOp) WaitChangeCtx(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, h.p.wake)
-	defer stop()
-	return h.waitChange(ctx)
-}
-
-func (h *poolOp) waitTarget(ctx context.Context, n int) error {
+// finish) or ctx is canceled; a nil ctx waits uncancelably.
+func (h *poolOp) WaitTarget(ctx context.Context, n int) error {
+	if ctx != nil {
+		stop := context.AfterFunc(ctx, h.p.wake)
+		defer stop()
+	}
 	waited, err := h.waitTargetLocked(ctx, n)
+	h.emitWait(waited)
+	return err
+}
+
+// WaitChange blocks until the arbitration state changes or ctx is
+// canceled; a nil ctx waits uncancelably.
+func (h *poolOp) WaitChange(ctx context.Context) error {
+	if ctx != nil {
+		stop := context.AfterFunc(ctx, h.p.wake)
+		defer stop()
+	}
+	waited, err := h.waitChangeLocked(ctx)
 	h.emitWait(waited)
 	return err
 }
@@ -541,39 +538,26 @@ func (h *poolOp) waitTargetLocked(ctx context.Context, n int) (time.Duration, er
 	start := time.Now()
 	defer func() { h.stats.WaitTime += time.Since(start) }()
 	for h.target() < need() {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return time.Since(start), err
-			}
+		if err := ctxErr(ctx); err != nil {
+			return time.Since(start), err
 		}
 		h.p.cond.Wait()
 	}
 	return time.Since(start), nil
 }
 
-func (h *poolOp) waitChange(ctx context.Context) error {
-	waited, err := h.waitChangeLocked(ctx)
-	h.emitWait(waited)
-	return err
-}
-
 func (h *poolOp) waitChangeLocked(ctx context.Context) (time.Duration, error) {
 	h.p.mu.Lock()
 	defer h.p.mu.Unlock()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
+	if err := ctxErr(ctx); err != nil {
+		return 0, err
 	}
 	h.stats.Waits++
 	start := time.Now()
 	h.p.cond.Wait()
 	d := time.Since(start)
 	h.stats.WaitTime += d
-	if ctx != nil {
-		return d, ctx.Err()
-	}
-	return d, nil
+	return d, ctxErr(ctx)
 }
 
 // emitWait reports a completed blocking wait (zero-duration "waits" — the

@@ -276,7 +276,7 @@ func TestPoolWaitTargetSurvivesShrink(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		h1.WaitTarget(40) // blocked: two ops share 64 → target 32
+		_ = h1.WaitTarget(nil, 40) // blocked: two ops share 64 → target 32
 		close(done)
 	}()
 	time.Sleep(10 * time.Millisecond)

@@ -142,6 +142,12 @@ func (c *Chrome) Emit(e Event) {
 	case KindSplit, KindCombineBegin, KindCombineEnd, KindCombineAbort, KindSuspend, KindResume:
 		c.write(chromeEvent{Name: e.Kind.String(), Cat: "adapt", Ph: "i", Ts: ts, Pid: 1, Tid: lane(e),
 			S: "t", Args: memArgs(e)})
+		if e.Kind == KindCombineEnd {
+			// The combine absorbed sub-step e.Step, which gets no
+			// KindStepEnd: its span ends here.
+			c.write(chromeEvent{Name: "merge-step", Cat: "step", Ph: "e", Ts: ts, Pid: 1, Tid: lane(e),
+				ID: stepID(e), Args: map[string]any{"worker": e.Worker}})
+		}
 	case KindStoreRead, KindStoreWrite, KindPoolWait, KindPoolAdmit:
 		// Complete events: ts is the span start.
 		c.write(chromeEvent{Name: e.Kind.String(), Cat: "io", Ph: "X",
